@@ -5,11 +5,4 @@ Everything is integer or rational arithmetic; no floating point
 anywhere.  See the cli module for the command-line surface.
 """
 
-from ._kernel import backend_name as _backend_name
-
 __version__ = "0.1.0"
-
-
-def kernel_backend():
-    """Name of the active arithmetic kernel: 'compiled' or 'pure'."""
-    return _backend_name

@@ -298,10 +298,25 @@ def build_parser():
     return parser
 
 
+def _glue_range(argv):
+    """argparse takes a value such as "-12..12" for an option string and
+    leaves "--k-range -12..12" without its argument; hand such a pair
+    on as "--k-range=-12..12", which it reads as intended."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] == "--k-range" and arg[:1] == "-"
+                and arg[1:2].isdigit()):
+            out[-1] = "--k-range=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _glue_range(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else exc.code
     try:

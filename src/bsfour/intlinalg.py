@@ -302,27 +302,25 @@ class AbelianGroup:
     @classmethod
     def from_invariant_factors(cls, factors, free_rank=0):
         """Canonicalize arbitrary cyclic factors (0 meaning Z) into a
-        divisor chain via elementary divisors."""
+        divisor chain.
+
+        This is the Smith form of a diagonal matrix: Z/a + Z/b is
+        Z/gcd(a,b) + Z/lcm(a,b), so replacing (t_i, t_j) by their gcd
+        and lcm for every i < j leaves t_0 | t_1 | ...  No factoring,
+        hence no trial division on large primes."""
         free = free_rank
-        primes = {}
+        ts = []
         for f in factors:
             f = abs(int(f))
             if f == 0:
                 free += 1
             elif f > 1:
-                for p, e in _factorize(f).items():
-                    primes.setdefault(p, []).append(e)
-        depth = max((len(v) for v in primes.values()), default=0)
-        chain = []
-        for i in range(depth):
-            val = 1
-            for p, es in primes.items():
-                es = sorted(es, reverse=True)
-                if i < len(es):
-                    val *= p ** es[i]
-            chain.append(val)
-        chain.reverse()
-        return cls(free, tuple(chain))
+                ts.append(f)
+        for i in range(len(ts)):
+            for j in range(i + 1, len(ts)):
+                g = math.gcd(ts[i], ts[j])
+                ts[i], ts[j] = g, ts[i] // g * ts[j]
+        return cls(free, tuple(t for t in ts if t > 1))
 
     def direct_sum(self, other):
         return self.from_invariant_factors(
@@ -360,19 +358,6 @@ class AbelianGroup:
             parts.append("Z^%d" % self.free_rank)
         parts.extend("Z/%d" % t for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def _factorize(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def homology_of_complex(d2, d1, modulus=0):

@@ -6,6 +6,10 @@ also a round-trip test of the schema.
 """
 
 import json
+import pathlib
+import re
+import shlex
+import time
 
 import pytest
 
@@ -80,6 +84,13 @@ def test_lgroups_document(capsys):
     doc = run_json(capsys, "lgroups", "--k", "5")
     assert doc["lgroups"]["L5"] == {"free_rank": 1, "torsion": ["4"]}
     assert doc["assembly"]["consistent"] is True
+    # k - 1 = 2^61 - 1 is prime; a canonical form that factors its
+    # torsion by trial division does not finish here.
+    start = time.perf_counter()
+    doc = run_json(capsys, "lgroups", "--k", str(2 ** 61))
+    assert time.perf_counter() - start < 2.0
+    assert doc["lgroups"]["L5"] == {"free_rank": 1,
+                                    "torsion": [str(2 ** 61 - 1)]}
 
 
 def test_bordism(capsys):
@@ -201,6 +212,12 @@ def test_report_rows(capsys):
     assert doc["rows"] == []
     code, _ = run(capsys, "report", "--k-range", "2-3")
     assert code == 2
+    spaced = run_json(capsys, "report", "--k-range", "-12..12")
+    glued = run_json(capsys, "report", "--k-range=-12..12")
+    assert [r["k"] for r in spaced["rows"]] == list(range(-12, 13))
+    assert spaced == glued
+    doc = run_json(capsys, "report", "--k-range", "-3..-2")
+    assert [r["k"] for r in doc["rows"]] == [-3, -2]
 
 
 def test_report_pretty_table(capsys):
@@ -232,9 +249,57 @@ def test_missing_file_exits_2(capsys, tmp_path):
 
 
 def test_output_is_deterministic(capsys):
-    _, first = run(capsys, "report", "--k-range", "-3..3")
-    _, second = run(capsys, "report", "--k-range", "-3..3")
+    code, first = run(capsys, "report", "--k-range", "-3..3")
+    assert code == 0
+    assert len(json.loads(first)["rows"]) == 7
+    code, second = run(capsys, "report", "--k-range", "-3..3")
+    assert code == 0
     assert first == second
-    _, first = run(capsys, "ring", "--k", "2", "--expr", "ba + ab + 1")
-    _, second = run(capsys, "ring", "--k", "2", "--expr", "1 + ab + ba")
+    code, first = run(capsys, "ring", "--k", "2", "--expr", "ba + ab + 1")
+    assert code == 0
+    code, second = run(capsys, "ring", "--k", "2", "--expr", "1 + ab + ba")
+    assert code == 0
     assert first == second  # canonical term order
+
+
+def readme_blocks():
+    """The first two code blocks of the README's "Command line"
+    section: the command list and the sample output."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line")[1]
+    return section.split("```")[1], section.split("```")[3]
+
+
+def readme_commands():
+    """The bsfour lines of the command list, with the [optional] parts
+    and # comments dropped."""
+    block = readme_blocks()[0]
+    lines = []
+    for line in block.splitlines():
+        line = re.sub(r"\[[^]]*\]", "", line.split("#")[0]).strip()
+        if line.startswith("bsfour "):
+            lines.append(shlex.split(line)[1:])
+    return lines
+
+
+def test_readme_commands_run(capsys):
+    ran = set()
+    for argv in readme_commands():
+        if any(a.endswith(".json") for a in argv):
+            continue  # needs a document on disk
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        json.loads(out)
+        ran.add(argv[0])
+    assert ran == {"group", "ring", "fox", "homology", "lgroups", "bordism",
+                   "report"}
+
+
+def test_readme_sample_output(capsys):
+    examples = readme_blocks()[1].strip().split("$ ")[1:]
+    assert len(examples) == 2
+    for example in examples:
+        command, *shown = example.strip().splitlines()
+        code, out = run(capsys, *shlex.split(command)[1:])
+        assert code == 0
+        assert [line.rstrip() for line in out.splitlines()] == shown
