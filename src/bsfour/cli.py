@@ -198,7 +198,7 @@ def _report_table(doc):
     lines.append("  ".join("-" * w for w in widths))
     for r in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-    return "\n".join(lines)
+    return "\n".join(line.rstrip() for line in lines)
 
 
 def _is_group_doc(value):
@@ -301,12 +301,14 @@ def build_parser():
 def _glue_range(argv):
     """argparse takes a value such as "-12..12" for an option string and
     leaves "--k-range -12..12" without its argument; hand such a pair
-    on as "--k-range=-12..12", which it reads as intended."""
+    on as "--k-range=-12..12", which it reads as intended.  The same
+    holds for the abbreviations argparse accepts ("--k-r", "--k"); on
+    subcommands with a --k option, "--k=-5" reads as "--k -5"."""
     out = []
     for arg in argv:
-        if (out and out[-1] == "--k-range" and arg[:1] == "-"
-                and arg[1:2].isdigit()):
-            out[-1] = "--k-range=" + arg
+        if (out and len(out[-1]) >= 3 and "--k-range".startswith(out[-1])
+                and arg[:1] == "-" and arg[1:2].isdigit()):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out

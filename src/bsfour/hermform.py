@@ -113,6 +113,15 @@ def _star(A):
     return mat_transpose(mat_involute(A))
 
 
+def _is_inverse(A, C, k):
+    """True iff C is a two-sided inverse of the square matrix A: the
+    shape first, then A C = 1, then C A = 1."""
+    n = len(A)
+    return (len(C) == n and all(len(r) == n for r in C)
+            and mat_is_identity(mat_mul(A, C, k))
+            and mat_is_identity(mat_mul(C, A, k)))
+
+
 def _check_entries(k, rows, what):
     for row in rows:
         for p in row:
@@ -146,9 +155,7 @@ class HermitianForm:
         if inverse is not None:
             inverse = _freeze(inverse)
             _check_entries(k, inverse, "certificate")
-            if not (len(inverse) == n and all(len(r) == n for r in inverse)
-                    and mat_is_identity(mat_mul(matrix, inverse, k))
-                    and mat_is_identity(mat_mul(inverse, matrix, k))):
+            if not _is_inverse(matrix, inverse, k):
                 raise CertificateError("inverse certificate failed"
                                        " verification")
         self.inverse = inverse
@@ -162,9 +169,6 @@ class HermitianForm:
 
     def with_inverse(self, inverse):
         return HermitianForm(self.k, self.matrix, inverse, self.arf)
-
-    def with_arf(self, arf):
-        return HermitianForm(self.k, self.matrix, self.inverse, arf)
 
     def to_json(self):
         doc = {"k": self.k,
@@ -262,18 +266,16 @@ def hyperbolic(k, r):
                          arf=ArfTag(ARF_EXTENDED, 0))
 
 
-def from_integer_matrix(k, M, arf="auto"):
+def from_integer_matrix(k, M):
     """Embed a symmetric integer matrix as constants.  Unimodular
     matrices get their integer inverse as certificate; integer forms
     carry the extended-from-Z arf tag."""
     rows = [[_one(k) * int(x) for x in row] for row in M]
+    inv = intlinalg.unimodular_inverse(M)
     cert = None
-    inv = intlinalg.rational_inverse(M) if M else []
-    if inv is not None and all(x.denominator == 1 for r in inv for x in r):
-        cert = [[_one(k) * int(x) for x in row] for row in inv]
-    if arf == "auto":
-        arf = ArfTag(ARF_EXTENDED, 0)
-    return HermitianForm(k, rows, inverse=cert, arf=arf)
+    if inv is not None:
+        cert = [[_one(k) * x for x in row] for row in inv]
+    return HermitianForm(k, rows, inverse=cert, arf=ArfTag(ARF_EXTENDED, 0))
 
 
 def orthogonal_sum(f, g):
@@ -352,30 +354,22 @@ def invert_matrix(mat, k):
     for q in range(n):
         inv[perm[q]] = tuple(C[q])
     inv = tuple(inv)
-    if (mat_is_identity(mat_mul(mat, inv, k))
-            and mat_is_identity(mat_mul(inv, mat, k))):
-        return inv
-    return None
+    return inv if _is_inverse(mat, inv, k) else None
 
 
 def try_invert(f):
     """Verified inverse of the form matrix, or None (unknown).  The
-    augmented determinant must be a unit in Z, which rejects most
+    augmented matrix must be invertible over Z, which rejects most
     non-invertible forms immediately."""
     if f.rank == 0:
         return ()
-    if abs(intlinalg.int_det(augment_form(f))) != 1:
+    if intlinalg.unimodular_inverse(augment_form(f)) is None:
         return None
     return invert_matrix(f.matrix, f.k)
 
 
 def verify_inverse(f, C):
-    C = _freeze(C)
-    n = f.rank
-    if len(C) != n or any(len(r) != n for r in C):
-        return False
-    return (mat_is_identity(mat_mul(f.matrix, C, f.k))
-            and mat_is_identity(mat_mul(C, f.matrix, f.k)))
+    return _is_inverse(f.matrix, _freeze(C), f.k)
 
 
 def _is_unit_triangular(M, upper):
@@ -392,30 +386,24 @@ def _is_unit_triangular(M, upper):
 
 def unit_triangular_inverse(M, k):
     """Back-substitution inverse of a unit upper or lower triangular
-    matrix."""
+    matrix.  A unit lower triangular N has N* unit upper triangular,
+    and since * is an anti-automorphism, (N*)^-1 = (N^-1)*; so N^-1 is
+    the star of the inverse of N*."""
     M = _freeze(M)
+    if not _is_unit_triangular(M, upper=True):
+        if not _is_unit_triangular(M, upper=False):
+            raise ValueError("matrix is not unit triangular")
+        return _star(unit_triangular_inverse(_star(M), k))
     n = len(M)
-    if _is_unit_triangular(M, upper=True):
-        X = [[_one(k) if i == j else _zero(k) for j in range(n)]
-             for i in range(n)]
-        for j in range(n):
-            for i in range(j - 1, -1, -1):
-                s = _zero(k)
-                for p in range(i + 1, j + 1):
-                    s = s + M[i][p] * X[p][j]
-                X[i][j] = -s
-        return _freeze(X)
-    if _is_unit_triangular(M, upper=False):
-        X = [[_one(k) if i == j else _zero(k) for j in range(n)]
-             for i in range(n)]
-        for j in range(n):
-            for i in range(j + 1, n):
-                s = _zero(k)
-                for p in range(j, i):
-                    s = s + M[i][p] * X[p][j]
-                X[i][j] = -s
-        return _freeze(X)
-    raise ValueError("matrix is not unit triangular")
+    X = [[_one(k) if i == j else _zero(k) for j in range(n)]
+         for i in range(n)]
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            acc = {}
+            for p in range(i + 1, j + 1):
+                _kernel.ring_addmul(acc, M[i][p].terms, X[p][j].terms, k)
+            X[i][j] = -GroupRingElt._raw(k, acc)
+    return _freeze(X)
 
 
 def _invert_any(M, k):
@@ -470,24 +458,6 @@ def isometry_inverse(U, k):
         raise CertificateError("certificate is not invertible"
                                " by trivial-unit elimination")
     return mat_involute(W)
-
-
-def random_unit_triangular(rng, k, n, max_terms=2):
-    """Random unit upper triangular matrix with small sparse entries;
-    always invertible, used to generate certificated forms."""
-    rows = [[_one(k) if i == j else _zero(k) for j in range(n)]
-            for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.6:
-                p = _zero(k)
-                for _ in range(rng.randint(1, max_terms)):
-                    w = "".join(rng.choice("aAbB")
-                                for _ in range(rng.randint(0, 4)))
-                    p = p + GroupRingElt.from_word(
-                        k, w, rng.choice((-2, -1, 1, 2)))
-                rows[i][j] = p
-    return _freeze(rows)
 
 
 def even_reference_form(k, hyperbolics=1, e8_blocks=0):

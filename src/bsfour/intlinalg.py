@@ -2,9 +2,11 @@
 finitely generated abelian groups, homology of short complexes, and
 signatures of symmetric matrices.
 
-Everything is arbitrary-precision; signatures go through Fraction
-congruence diagonalization, never floating point.  Matrices are plain
-lists of rows.
+The Smith form is the one integer elimination: homology over Z and Z/p,
+unimodularity and integer inverses are all read off it.  Everything is
+arbitrary-precision; only `signature` leaves the integers, for exact
+rational congruence diagonalization, never floating point.  Matrices
+are plain lists of rows.
 """
 
 import math
@@ -119,68 +121,18 @@ def invariant_factors(A):
     return [D[i][i] for i in range(min(len(A), len(A[0]))) if D[i][i]]
 
 
-def int_det(A):
-    """Fraction-free Bareiss determinant of an integer matrix."""
+def unimodular_inverse(A):
+    """Integer inverse of a square matrix, or None when its determinant
+    is not +-1.  The 0 x 0 matrix is unimodular with inverse []."""
     n = len(A)
-    if n == 0:
-        return 1
     if any(len(row) != n for row in A):
         raise ValueError("square matrix required")
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if M[i][i] == 0:
-            p = next((r for r in range(i + 1, n) if M[r][i]), None)
-            if p is None:
-                return 0
-            M[i], M[p] = M[p], M[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                M[r][c] = (M[r][c] * M[i][i] - M[r][i] * M[i][c]) // prev
-            M[r][i] = 0
-        prev = M[i][i]
-    return sign * M[n - 1][n - 1]
-
-
-def rational_inverse(A):
-    """Exact inverse of a square matrix as Fractions, or None if
-    singular."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-                                       for j in range(n)]
-         for i, row in enumerate(A)]
-    for i in range(n):
-        p = next((r for r in range(i, n) if M[r][i]), None)
-        if p is None:
-            return None
-        M[i], M[p] = M[p], M[i]
-        d = M[i][i]
-        M[i] = [x / d for x in M[i]]
-        for r in range(n):
-            if r != i and M[r][i]:
-                f = M[r][i]
-                M[r] = [x - f * y for x, y in zip(M[r], M[i])]
-    return [row[n:] for row in M]
-
-
-def _rank_mod_p(A, p, width):
-    M = [[x % p for x in row] for row in A]
-    rank = 0
-    for col in range(width):
-        piv = next((r for r in range(rank, len(M)) if M[r][col]), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = pow(M[rank][col], -1, p)
-        M[rank] = [(x * inv) % p for x in M[rank]]
-        for r in range(len(M)):
-            if r != rank and M[r][col]:
-                f = M[r][col]
-                M[r] = [(x - f * y) % p for x, y in zip(M[r], M[rank])]
-        rank += 1
-    return rank
+    U, D, V = smith_normal_form(A)
+    if D != _identity(n):
+        return None
+    # U A V = 1 gives A = U^-1 V^-1, hence A^-1 = V U.  Any other D has
+    # determinant 0 or at least 2, and det A = +-det D.
+    return _mat_mul(V, U)
 
 
 def signature(S):
@@ -229,26 +181,6 @@ def signature(S):
                            + (alpha[r] * beta[s] + beta[r] * alpha[s]) * c)
         act = rest
     return sig
-
-
-def random_unimodular(rng, n):
-    """Product of random elementary matrices; determinant is +-1."""
-    T = _identity(n)
-    for _ in range(3 * n + 2):
-        kind = rng.randrange(6)
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if kind == 0 and n > 1:
-            if i != j:
-                T[i], T[j] = T[j], T[i]
-        elif kind == 1:
-            T[i] = [-x for x in T[i]]
-        else:
-            if i == j:
-                continue
-            q = rng.choice((-2, -1, 1, 2))
-            T[i] = [x + q * y for x, y in zip(T[i], T[j])]
-    return T
 
 
 _E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7))
@@ -377,14 +309,17 @@ def homology_of_complex(d2, d1, modulus=0):
         for x in row:
             if (x % modulus) if modulus else x:
                 raise ChainComplexError("d2 * d1 is not zero")
+    f2 = invariant_factors(d2)
+    f1 = invariant_factors(d1)
     if modulus:
-        r2 = _rank_mod_p(d2, modulus, n1) if n2 else 0
-        r1 = _rank_mod_p(d1, modulus, n0)
+        # U d V = D with U, V unimodular; their determinants +-1 stay
+        # units mod p, so d and D have the same rank over Z/p: the number
+        # of invariant factors that p does not divide.
+        r2 = sum(1 for f in f2 if f % modulus)
+        r1 = sum(1 for f in f1 if f % modulus)
         return [AbelianGroup.elementary(modulus, n0 - r1),
                 AbelianGroup.elementary(modulus, n1 - r1 - r2),
                 AbelianGroup.elementary(modulus, n2 - r2)]
-    f2 = invariant_factors(d2) if n2 else []
-    f1 = invariant_factors(d1)
     r2, r1 = len(f2), len(f1)
     return [AbelianGroup.from_invariant_factors(f1, n0 - r1),
             AbelianGroup.from_invariant_factors(f2, n1 - r1 - r2),

@@ -259,10 +259,6 @@ class ManifoldDescriptor:
     def signature(self):
         return self._signature
 
-    @property
-    def arf_provenance(self):
-        return self.form.arf
-
     def invariant_snapshot(self):
         return {"w2": self.w2.value, "ks": self.ks,
                 "rank": self.form.rank, "parity": self.parity.value,

@@ -22,3 +22,41 @@ def random_ring_elt(rng, k, terms=6, wordlen=8, cmax=9):
         c = rng.randint(-cmax, cmax)
         p = p + GroupRingElt.monomial(k, random_element(rng, k, wordlen), c)
     return p
+
+
+def random_unit_triangular(rng, k, n, max_terms=2):
+    """Random unit upper triangular matrix with small sparse entries;
+    always invertible, used to generate certificated forms."""
+    rows = [[GroupRingElt.one(k) if i == j else GroupRingElt.zero(k)
+             for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                p = GroupRingElt.zero(k)
+                for _ in range(rng.randint(1, max_terms)):
+                    w = "".join(rng.choice("aAbB")
+                                for _ in range(rng.randint(0, 4)))
+                    p = p + GroupRingElt.from_word(
+                        k, w, rng.choice((-2, -1, 1, 2)))
+                rows[i][j] = p
+    return tuple(tuple(row) for row in rows)
+
+
+def random_unimodular(rng, n):
+    """Product of random elementary integer matrices; determinant +-1."""
+    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 * n + 2):
+        kind = rng.randrange(6)
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if kind == 0 and n > 1:
+            if i != j:
+                T[i], T[j] = T[j], T[i]
+        elif kind == 1:
+            T[i] = [-x for x in T[i]]
+        else:
+            if i == j:
+                continue
+            q = rng.choice((-2, -1, 1, 2))
+            T[i] = [x + q * y for x, y in zip(T[i], T[j])]
+    return T

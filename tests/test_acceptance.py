@@ -25,7 +25,6 @@ from bsfour.hermform import (
     hyperbolic,
     isometry_inverse,
     parity,
-    random_unit_triangular,
     verify_inverse,
 )
 from bsfour.intlinalg import AbelianGroup, e8_matrix, signature
@@ -39,7 +38,7 @@ from bsfour.invariants import (
     realize,
 )
 
-from support import random_ring_elt, random_word
+from support import random_ring_elt, random_unit_triangular, random_word
 
 KS_ALL = list(range(-12, 13))
 KS_NONZERO = [k for k in KS_ALL if k != 0]

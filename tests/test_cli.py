@@ -218,6 +218,11 @@ def test_report_rows(capsys):
     assert spaced == glued
     doc = run_json(capsys, "report", "--k-range", "-3..-2")
     assert [r["k"] for r in doc["rows"]] == [-3, -2]
+    # argparse abbreviations of --k-range take a negative range too
+    full = run_json(capsys, "report", "--k-range=-2..2")
+    assert [r["k"] for r in full["rows"]] == list(range(-2, 3))
+    for option in ("--k-r", "--k"):
+        assert run_json(capsys, "report", option, "-2..2") == full
 
 
 def test_report_pretty_table(capsys):
@@ -228,6 +233,7 @@ def test_report_pretty_table(capsys):
                                 "whitehead", "L4", "L5", "bordism",
                                 "oracle_check"]
     assert lines[2].startswith("0  Z")
+    assert all(line == line.rstrip() for line in lines)
 
 
 def test_usage_errors_exit_64(capsys):
@@ -302,4 +308,4 @@ def test_readme_sample_output(capsys):
         command, *shown = example.strip().splitlines()
         code, out = run(capsys, *shlex.split(command)[1:])
         assert code == 0
-        assert [line.rstrip() for line in out.splitlines()] == shown
+        assert out.splitlines() == shown

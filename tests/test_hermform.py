@@ -17,14 +17,14 @@ from bsfour.hermform import (HermitianForm, Parity, congruence, hyperbolic,
                              isometry_inverse, parity, sesquilinear,
                              try_invert, verify_inverse, verify_isometry)
 
-from support import random_ring_elt
+from support import random_ring_elt, random_unit_triangular
 
 one = GroupRingElt.one
 zero = GroupRingElt.zero
 
 
-def const_form(k, M, **kw):
-    return hermform.from_integer_matrix(k, M, **kw)
+def const_form(k, M):
+    return hermform.from_integer_matrix(k, M)
 
 
 def unit_form(k):
@@ -33,7 +33,7 @@ def unit_form(k):
 
 def random_certificated(rng, k, r=1, e8=0, entry_terms=2):
     f = hermform.even_reference_form(k, hyperbolics=r, e8_blocks=e8)
-    U = hermform.random_unit_triangular(rng, k, f.rank, max_terms=entry_terms)
+    U = random_unit_triangular(rng, k, f.rank, max_terms=entry_terms)
     return congruence(f, U)
 
 
@@ -165,10 +165,28 @@ def test_unit_triangular_inverse():
     rng = random.Random(77)
     k = 2
     for _ in range(20):
-        U = hermform.random_unit_triangular(rng, k, 4, max_terms=2)
-        W = hermform.unit_triangular_inverse(U, k)
-        assert hermform.mat_is_identity(hermform.mat_mul(U, W, k))
-        assert hermform.mat_is_identity(hermform.mat_mul(W, U, k))
+        U = random_unit_triangular(rng, k, 4, max_terms=2)
+        # upper, and two unit lower triangular matrices built from it
+        for M in (U, hermform.mat_transpose(U), hermform._star(U)):
+            W = hermform.unit_triangular_inverse(M, k)
+            assert hermform.mat_is_identity(hermform.mat_mul(M, W, k))
+            assert hermform.mat_is_identity(hermform.mat_mul(W, M, k))
+    a = GroupRingElt.from_word(k, "a")
+    with pytest.raises(ValueError):
+        hermform.unit_triangular_inverse(((one(k), a), (a, one(k))), k)
+
+
+def test_e8_certificate_is_the_integer_inverse():
+    E = intlinalg.e8_matrix()
+    C = const_form(3, E).inverse
+    assert C is not None
+    ints = []
+    for row in C:
+        assert all(set(p.terms) <= {(0, 0, 0)} for p in row)
+        ints.append([p.identity_coefficient() for p in row])
+    eye = [[int(i == j) for j in range(8)] for i in range(8)]
+    assert [[sum(E[i][p] * ints[p][j] for p in range(8))
+             for j in range(8)] for i in range(8)] == eye
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -218,7 +236,7 @@ def test_isometry_inverse_transport(k):
     rng = random.Random(9400 + k)
     for _ in range(10):
         f = hermform.even_reference_form(k, hyperbolics=2)
-        U = hermform.random_unit_triangular(rng, k, 4, max_terms=1)
+        U = random_unit_triangular(rng, k, 4, max_terms=1)
         g = congruence(f, U)
         # g was built as U^T A_f Ubar, i.e. U certifies g ~ f read as
         # verify_isometry(g, f, U)
@@ -233,7 +251,7 @@ def test_congruence_preserves_invariants(k):
     for _ in range(10):
         base = hermform.even_reference_form(
             k, hyperbolics=rng.randint(1, 2), e8_blocks=rng.randint(0, 1))
-        U = hermform.random_unit_triangular(rng, k, base.rank, max_terms=1)
+        U = random_unit_triangular(rng, k, base.rank, max_terms=1)
         g = congruence(base, U)
         assert parity(g) is parity(base)
         assert (intlinalg.signature(hermform.augment_form(g))

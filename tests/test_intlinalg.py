@@ -17,6 +17,8 @@ from bsfour import intlinalg
 from bsfour.errors import ChainComplexError
 from bsfour.intlinalg import AbelianGroup
 
+from support import random_unimodular
+
 
 def frac_det(A):
     """Gaussian elimination determinant over Fraction; test-local oracle."""
@@ -58,6 +60,29 @@ def random_matrix(rng, m, n, lo=-9, hi=9):
 def mat_mul(A, B):
     return [[sum(A[i][p] * B[p][j] for p in range(len(B)))
              for j in range(len(B[0]))] for i in range(len(A))]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def rank_mod_p(A, p):
+    """Row reduction over F_p; test-local oracle."""
+    M = [[x % p for x in row] for row in A]
+    rank = 0
+    for col in range(len(M[0]) if M else 0):
+        piv = next((r for r in range(rank, len(M)) if M[r][col]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        inv = pow(M[rank][col], -1, p)
+        M[rank] = [x * inv % p for x in M[rank]]
+        for r in range(len(M)):
+            if r != rank and M[r][col]:
+                f = M[r][col]
+                M[r] = [(x - f * y) % p for x, y in zip(M[r], M[rank])]
+        rank += 1
+    return rank
 
 
 def test_snf_frozen_examples():
@@ -136,6 +161,31 @@ def test_homology_mod2():
                  AbelianGroup.elementary(2, 1)]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_homology_mod_p_matches_row_reduction(p):
+    rng = random.Random(75 + p)
+    for _ in range(40):
+        n0, n1, n2 = rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 4)
+        r = rng.randint(0, n1)
+        # d2' d1' = 0 by block shape; a change of basis T of Z^n1 keeps
+        # it, and adding multiples of p keeps it mod p while leaving the
+        # entries unreduced
+        d1 = random_matrix(rng, r, n0) + [[0] * n0 for _ in range(n1 - r)]
+        d2 = [[0] * r + row for row in random_matrix(rng, n2, n1 - r)]
+        T = random_unimodular(rng, n1)
+        T_inv = intlinalg.unimodular_inverse(T)
+        assert mat_mul(T, T_inv) == identity(n1)
+        d1 = mat_mul(T, d1)
+        d2 = mat_mul(d2, T_inv) if n2 else []
+        d1 = [[x + p * rng.randint(-3, 3) for x in row] for row in d1]
+        d2 = [[x + p * rng.randint(-3, 3) for x in row] for row in d2]
+        r1, r2 = rank_mod_p(d1, p), rank_mod_p(d2, p)
+        H = intlinalg.homology_of_complex(d2, d1, modulus=p)
+        assert H == [AbelianGroup.elementary(p, n0 - r1),
+                     AbelianGroup.elementary(p, n1 - r1 - r2),
+                     AbelianGroup.elementary(p, n2 - r2)]
+
+
 def test_abelian_group_basics():
     G = AbelianGroup.from_invariant_factors([1, 2, 4])
     assert G.free_rank == 0 and G.torsion == (2, 4)
@@ -187,7 +237,7 @@ def test_signature_congruence_invariance():
         for i in range(n):
             for j in range(i):
                 S[i][j] = S[j][i]
-        T = intlinalg.random_unimodular(rng, n)
+        T = random_unimodular(rng, n)
         assert abs(frac_det(T)) == 1
         TS = mat_mul([list(r) for r in zip(*T)], mat_mul(S, T))
         assert intlinalg.signature(TS) == intlinalg.signature(S)
@@ -195,8 +245,9 @@ def test_signature_congruence_invariance():
             -intlinalg.signature(S)
 
 
-def test_signature_additivity_and_bareiss_det():
+def test_signature_additivity_and_unimodular_inverse():
     rng = random.Random(74)
+    outcomes = set()
     for _ in range(30):
         n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
         S1 = random_matrix(rng, n1, n1, -5, 5)
@@ -208,5 +259,17 @@ def test_signature_additivity_and_bareiss_det():
         block = [r + [0] * n2 for r in S1] + [[0] * n1 + r for r in S2]
         assert intlinalg.signature(block) == \
             intlinalg.signature(S1) + intlinalg.signature(S2)
-        A = random_matrix(rng, 4, 4)
-        assert intlinalg.int_det(A) == frac_det(A)
+        n = rng.randint(1, 4)
+        for A in (random_matrix(rng, 4, 4), random_matrix(rng, n, n, -1, 1),
+                  random_unimodular(rng, n)):
+            inv = intlinalg.unimodular_inverse(A)
+            assert (inv is None) == (abs(frac_det(A)) != 1)
+            outcomes.add(inv is None)
+            if inv is not None:
+                assert mat_mul(A, inv) == identity(len(A))
+                assert mat_mul(inv, A) == identity(len(A))
+    assert outcomes == {True, False}
+    assert intlinalg.unimodular_inverse([]) == []
+    for bad in ([[1, 2]], [[1], [2]], [[1, 0], [0]]):
+        with pytest.raises(ValueError):
+            intlinalg.unimodular_inverse(bad)

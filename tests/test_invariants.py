@@ -33,6 +33,8 @@ from bsfour.invariants import (
     stable_classify_typeI,
 )
 
+from support import random_unit_triangular
+
 AG = AbelianGroup
 ALL_K = list(range(-12, 13))
 
@@ -293,7 +295,7 @@ def test_realize_counts_over_generated_forms():
     for k in (2, 3):
         for _ in range(6):
             f = hermform.even_reference_form(k, hyperbolics=rng.randint(1, 2))
-            g = congruence(f, hermform.random_unit_triangular(
+            g = congruence(f, random_unit_triangular(
                 rng, k, f.rank, max_terms=1))
             out = realize(k, g)
             assert len(out) == (2 if k % 2 else 1)
