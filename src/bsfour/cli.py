@@ -28,6 +28,14 @@ EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 EXIT_USAGE = 64
 
+# Largest |k| accepted by the commands that build the Fox complex
+# (homology, bordism, each end of report --k-range).  The complex has
+# O(|k|) terms; homology --k 100000 takes about 0.6 s and 50 MB.
+MAX_CHAIN_K = 100000
+# fox prints the free derivatives, O(k^2) characters of words; at the
+# limit it takes about 1 s and 55 MB.
+MAX_FOX_K = 3000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with exit code 64."""
@@ -36,6 +44,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write("error: %s\n" % message)
         raise SystemExit(EXIT_USAGE)
+
+
+def _check_k(k, limit, command):
+    if abs(k) > limit:
+        raise SchemaError("%s accepts |k| <= %d, got k=%d"
+                          % (command, limit, k))
+    return k
 
 
 def _load_json(path):
@@ -70,7 +85,7 @@ def _free_terms(p):
 
 
 def _cmd_fox(args):
-    k = args.k
+    k = _check_k(args.k, MAX_FOX_K, "fox")
     relator = foxchain.relator_word(k)
     da = foxchain.fox_derivative(relator, "a")
     db = foxchain.fox_derivative(relator, "b")
@@ -81,10 +96,10 @@ def _cmd_fox(args):
             "complex": foxchain.build_complex(k).to_json()}
 
 
-def _homology_pair(k, modulus):
+def _homology_pair(cx, modulus):
     closed = {"H%d" % d: invariants.homology_closed_form(
-        k, d, modulus=modulus).to_json() for d in (0, 1, 2)}
-    d2, d1 = foxchain.tensor_trivial(foxchain.build_complex(k), modulus)
+        cx.k, d, modulus=modulus).to_json() for d in (0, 1, 2)}
+    d2, d1 = foxchain.tensor_trivial(cx, modulus)
     groups = intlinalg.homology_of_complex(d2, d1, modulus)
     chain = {"H%d" % d: groups[d].to_json() for d in (0, 1, 2)}
     return closed, chain
@@ -92,7 +107,8 @@ def _homology_pair(k, modulus):
 
 def _cmd_homology(args):
     modulus = args.mod or 0
-    closed, chain = _homology_pair(args.k, modulus)
+    cx = foxchain.build_complex(_check_k(args.k, MAX_CHAIN_K, "homology"))
+    closed, chain = _homology_pair(cx, modulus)
     return {"k": args.k,
             "coefficients": "Z" if modulus == 0 else "Z/2",
             "closed_form": closed, "chain_complex": chain,
@@ -106,7 +122,8 @@ def _cmd_lgroups(args):
 
 
 def _cmd_bordism(args):
-    return invariants.stable_bordism_group(args.k, W2Type(args.w2)).to_json()
+    cx = foxchain.build_complex(_check_k(args.k, MAX_CHAIN_K, "bordism"))
+    return invariants.stable_bordism_group(cx, W2Type(args.w2)).to_json()
 
 
 def _form_summary(f):
@@ -162,9 +179,10 @@ def _parse_range(spec):
 
 
 def _report_row(k):
+    cx = foxchain.build_complex(k)
     ok = True
     for modulus in (0, 2):
-        closed, chain = _homology_pair(k, modulus)
+        closed, chain = _homology_pair(cx, modulus)
         if closed != chain:
             ok = False
     table = invariants.lgroup_table(k)
@@ -176,12 +194,14 @@ def _report_row(k):
             "whitehead": str(table.whitehead),
             "L4": str(table.l4),
             "L5": str(table.l5),
-            "bordism": str(invariants.stable_bordism_group(k, W2Type.II)),
+            "bordism": str(invariants.stable_bordism_group(cx, W2Type.II)),
             "oracle_check": "ok" if ok else "mismatch"}
 
 
 def _cmd_report(args):
     lo, hi = _parse_range(args.k_range)
+    for k in (lo, hi):
+        _check_k(k, MAX_CHAIN_K, "report")
     return {"k_range": args.k_range,
             "rows": [_report_row(k) for k in range(lo, hi + 1)]}
 

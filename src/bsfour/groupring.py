@@ -1,9 +1,9 @@
 """Integral group rings: Z[B(k)] and the free ring Z[F(a, b)].
 
-Elements are sparse integer combinations of group elements.  Relator
-calculus (Fox derivatives, geometric series) happens in the free ring
-and lands in Z[B(k)] through project(), which evaluates each word to
-its normal form.
+Elements are sparse integer combinations of group elements.  The free
+ring holds Fox derivatives as words, the form in which the fox command
+prints them; the projected derivatives that the chain complex uses are
+computed in Z[B(k)] directly (foxchain.build_complex).
 
 The involution extends g -> g^-1 linearly; it is an anti-automorphism.
 The augmentation sums coefficients; it is the ring map to Z induced by
@@ -387,14 +387,6 @@ class FreeRingElt:
     def is_zero(self):
         return not self.terms
 
-    def project(self, k):
-        """Image in Z[B(k)] by evaluating each word."""
-        acc = {}
-        for w, c in self.terms.items():
-            g = tuple(bsgroup.eval_word(w, k))
-            acc[g] = acc.get(g, 0) + c
-        return GroupRingElt(k, acc)
-
     def sorted_terms(self):
         return [(w, self.terms[w])
                 for w in sorted(self.terms, key=lambda w: (len(w), w))]
@@ -405,16 +397,3 @@ class FreeRingElt:
     def __repr__(self):
         return "FreeRingElt(%s)" % self
 
-
-def geometric_series(k):
-    """(b^k - 1)/(b - 1) as an element of the free ring.
-
-    1 + b + ... + b^(k-1) for k > 0, zero for k = 0, and
-    -(b^-1 + ... + b^k) for k < 0; in every case
-    (b - 1) * geometric_series(k) = b^k - 1.
-    """
-    if k > 0:
-        return FreeRingElt._raw({"b" * i: 1 for i in range(k)})
-    if k == 0:
-        return FreeRingElt.zero()
-    return FreeRingElt._raw({"B" * i: -1 for i in range(1, -k + 1)})

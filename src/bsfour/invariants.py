@@ -147,9 +147,10 @@ class BordismDescription:
                 "torsion": self.torsion.to_json()}
 
 
-def stable_bordism_group(k, w2):
-    """8Z plus H2(B(k); Z/2), the latter computed from the chain
-    complex rather than the closed form."""
+def stable_bordism_group(cx, w2):
+    """8Z plus H2(B(k); Z/2), the latter computed from the Fox complex
+    cx = foxchain.build_complex(k) rather than the closed form."""
+    k = cx.k
     if not isinstance(w2, W2Type):
         raise SchemaError("w2 must be a W2Type")
     if w2 is W2Type.I:
@@ -157,7 +158,7 @@ def stable_bordism_group(k, w2):
                               " use stable_classify_typeI")
     if w2 is W2Type.III and k % 2 == 0:
         raise DescriptorError("type III requires odd k")
-    d2, d1 = foxchain.tensor_trivial(foxchain.build_complex(k), modulus=2)
+    d2, d1 = foxchain.tensor_trivial(cx, modulus=2)
     torsion = intlinalg.homology_of_complex(d2, d1, modulus=2)[2]
     return BordismDescription(k, w2, 8, torsion)
 

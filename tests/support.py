@@ -4,7 +4,7 @@ Everything takes an explicit random.Random so runs are reproducible.
 """
 
 from bsfour import bsgroup
-from bsfour.groupring import GroupRingElt
+from bsfour.groupring import FreeRingElt, GroupRingElt
 
 
 def random_word(rng, maxlen=40):
@@ -60,3 +60,17 @@ def random_unimodular(rng, n):
             q = rng.choice((-2, -1, 1, 2))
             T[i] = [x + q * y for x, y in zip(T[i], T[j])]
     return T
+
+
+def geometric_series(k):
+    """(b^k - 1)/(b - 1) as an element of the free ring.
+
+    1 + b + ... + b^(k-1) for k > 0, zero for k = 0, and
+    -(b^-1 + ... + b^k) for k < 0; in every case
+    (b - 1) * geometric_series(k) = b^k - 1.
+    """
+    if k > 0:
+        return FreeRingElt._raw({"b" * i: 1 for i in range(k)})
+    if k == 0:
+        return FreeRingElt.zero()
+    return FreeRingElt._raw({"B" * i: -1 for i in range(1, -k + 1)})

@@ -15,7 +15,7 @@ from conftest import ACCEPTANCE_VERDICTS
 
 from bsfour import bsgroup, foxchain, hermform, intlinalg, invariants
 from bsfour.foxchain import build_complex, fox_derivative, relator_word
-from bsfour.groupring import FreeRingElt, GroupRingElt, geometric_series
+from bsfour.groupring import FreeRingElt, GroupRingElt
 from bsfour.hermform import (
     HermitianForm,
     Parity,
@@ -38,7 +38,12 @@ from bsfour.invariants import (
     realize,
 )
 
-from support import random_ring_elt, random_unit_triangular, random_word
+from support import (
+    geometric_series,
+    random_ring_elt,
+    random_unit_triangular,
+    random_word,
+)
 
 KS_ALL = list(range(-12, 13))
 KS_NONZERO = [k for k in KS_ALL if k != 0]

@@ -6,14 +6,17 @@ also a round-trip test of the schema.
 """
 
 import json
+import os
 import pathlib
 import re
 import shlex
+import signal
+import sys
 import time
 
 import pytest
 
-from bsfour import cli, hermform, intlinalg
+from bsfour import cli, foxchain, hermform, intlinalg
 from bsfour.groupring import GroupRingElt
 from bsfour.hermform import HermitianForm
 from bsfour.invariants import ManifoldDescriptor, W2Type
@@ -266,6 +269,91 @@ def test_output_is_deterministic(capsys):
     code, second = run(capsys, "ring", "--k", "2", "--expr", "1 + ab + ba")
     assert code == 0
     assert first == second  # canonical term order
+
+
+def test_one_complex_per_command(capsys, monkeypatch):
+    built = []
+    honest = foxchain.build_complex
+
+    def counting(k):
+        built.append(k)
+        return honest(k)
+
+    monkeypatch.setattr(foxchain, "build_complex", counting)
+    code, _ = run(capsys, "report", "--k-range=-3..3")
+    assert code == 0
+    assert built == [-3, -2, -1, 0, 1, 2, 3]
+    for argv in (("homology", "--k", "3"),
+                 ("homology", "--k", "3", "--mod", "2"),
+                 ("bordism", "--k", "3", "--w2", "II")):
+        built.clear()
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        assert built == [3]
+
+
+def spawn_measured(argv, out_path, err_path, timeout_s=60.0):
+    """Run bsfour in a fresh interpreter, stdout and stderr to files.
+    Returns (exit code, wall seconds, peak RSS in MB) from the child's
+    own resource usage."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    start = time.perf_counter()
+    pid = os.posix_spawn(
+        sys.executable, [sys.executable, "-m", "bsfour.cli", *argv], env,
+        file_actions=[(os.POSIX_SPAWN_OPEN, 1, str(out_path), flags, 0o644),
+                      (os.POSIX_SPAWN_OPEN, 2, str(err_path), flags, 0o644)])
+    while True:
+        done, status, usage = os.wait4(pid, os.WNOHANG)
+        if done:
+            break
+        if time.perf_counter() - start > timeout_s:
+            os.kill(pid, signal.SIGKILL)
+            os.wait4(pid, 0)
+            pytest.fail("bsfour %s ran over %.0f s" % (" ".join(argv),
+                                                        timeout_s))
+        time.sleep(0.02)
+    seconds = time.perf_counter() - start
+    return os.waitstatus_to_exitcode(status), seconds, usage.ru_maxrss / 1024
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--k", str(cli.MAX_CHAIN_K)],
+    ["homology", "--k", str(-cli.MAX_CHAIN_K)],
+    ["fox", "--k", str(cli.MAX_FOX_K)],
+], ids=["homology-max", "homology-min", "fox-max"])
+def test_largest_accepted_k_within_budget(tmp_path, argv):
+    out, err = tmp_path / "out.json", tmp_path / "err.txt"
+    code, seconds, rss_mb = spawn_measured(argv, out, err)
+    assert code == 0, err.read_text()
+    assert err.read_text() == ""
+    assert seconds <= 10.0
+    assert rss_mb <= 200.0
+    doc = json.loads(out.read_text())
+    assert doc["k"] == int(argv[2])
+    if argv[0] == "homology":
+        assert doc["agree"] is True
+    else:
+        assert doc["complex"]["ranks"] == [1, 2, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("homology", "--k", str(cli.MAX_CHAIN_K + 1)),
+    ("homology", "--k", str(-cli.MAX_CHAIN_K - 1), "--mod", "2"),
+    ("bordism", "--k", str(cli.MAX_CHAIN_K + 1), "--w2", "II"),
+    ("report", "--k-range=0..%d" % (cli.MAX_CHAIN_K + 1)),
+    ("report", "--k-range=%d..0" % (-cli.MAX_CHAIN_K - 1)),
+    ("fox", "--k", str(cli.MAX_FOX_K + 1)),
+    ("fox", "--k", str(-cli.MAX_FOX_K - 1)),
+], ids=" ".join)
+def test_k_beyond_limit_exits_2(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def readme_blocks():

@@ -2,18 +2,21 @@
 
 The oracle for the derivative is the fundamental identity
 w - 1 = da(w)(a - 1) + db(w)(b - 1) in the free ring, which determines
-both derivatives and is checked on random unreduced words.
+both derivatives and is checked on random unreduced words.  The
+boundary d2 of the complex is checked against the free derivatives
+with every word evaluated on its own.
 """
 
 import random
 
 import pytest
 
-from bsfour import foxchain
+from bsfour import bsgroup, foxchain
+from bsfour.errors import ChainComplexError
 from bsfour.foxchain import FoxComplex, build_complex, fox_derivative, relator_word
-from bsfour.groupring import FreeRingElt, GroupRingElt, geometric_series
+from bsfour.groupring import FreeRingElt, GroupRingElt
 
-from support import random_word
+from support import geometric_series, random_word
 
 W = FreeRingElt.from_word
 KS_NONZERO = [k for k in range(-12, 13) if k != 0]
@@ -78,6 +81,34 @@ def test_chain_condition(k):
     for i in range(2):
         total = total + cx.d2[0][i] * cx.d1[i][0]
     assert total.is_zero()
+
+
+def projected_by_words(k, gen):
+    """fox_derivative of the relator, each free word evaluated in B(k)."""
+    acc = {}
+    for w, c in fox_derivative(relator_word(k), gen).terms.items():
+        g = tuple(bsgroup.eval_word(w, k))
+        acc[g] = acc.get(g, 0) + c
+    return GroupRingElt(k, acc)
+
+
+@pytest.mark.parametrize(
+    "k", [k for k in range(-40, 41) if k != 0] + [233, -233, 1001, -1000])
+def test_boundary_matches_evaluated_free_derivatives(k):
+    expected = ((projected_by_words(k, "a"), projected_by_words(k, "b")),)
+    assert build_complex(k).d2 == expected
+
+
+def test_chain_condition_failure_raises(monkeypatch):
+    honest = foxchain._projected_derivatives
+
+    def perturbed(k):
+        da, db = honest(k)
+        return da, db + GroupRingElt.from_word(k, "b")
+
+    monkeypatch.setattr(foxchain, "_projected_derivatives", perturbed)
+    with pytest.raises(ChainComplexError):
+        build_complex(3)
 
 
 def test_projected_boundary_at_k1():

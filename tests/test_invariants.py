@@ -143,18 +143,19 @@ def test_assembly_status_consistent_for_all_k():
 
 
 def test_stable_bordism_group():
-    assert str(stable_bordism_group(2, W2Type.II)) == "8Z"
-    assert str(stable_bordism_group(3, W2Type.II)) == "8Z + Z/2"
-    assert str(stable_bordism_group(1, W2Type.II)) == "8Z + Z/2"
+    build = foxchain.build_complex
+    assert str(stable_bordism_group(build(2), W2Type.II)) == "8Z"
+    assert str(stable_bordism_group(build(3), W2Type.II)) == "8Z + Z/2"
+    assert str(stable_bordism_group(build(1), W2Type.II)) == "8Z + Z/2"
     for k in ALL_K:
-        desc = stable_bordism_group(k, W2Type.II)
+        desc = stable_bordism_group(build(k), W2Type.II)
         assert desc.signature_multiple == 8
         # torsion is computed from the complex; pin it to the closed form
         assert desc.torsion == homology_closed_form(k, 2, modulus=2)
     with pytest.raises(DescriptorError):
-        stable_bordism_group(3, W2Type.I)
+        stable_bordism_group(build(3), W2Type.I)
     with pytest.raises(DescriptorError):
-        stable_bordism_group(2, W2Type.III)  # needs odd k
+        stable_bordism_group(build(2), W2Type.III)  # needs odd k
 
 
 def test_ks_constraint_rules():
