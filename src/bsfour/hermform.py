@@ -6,7 +6,13 @@ vectors by s(x, y) = x A involute(y)^T, linear in x.
 
 Invertibility over the group ring is never decided heuristically:
 either a certificate C with A C = C A = 1 is produced and checked by
-exact multiplication, or the answer is unknown.  Parity reads the
+exact multiplication, or the answer is unknown.  For a hermitian A the
+one product A C = 1 is checked: it implies C A = 1 (the proof is at
+_is_hermitian_inverse).  A certificate that congruence transports is
+not multiplied out again; it is derived from factors that were checked,
+and the proof is at congruence.  Forms are read-only after
+construction, so a certificate once checked stays attached to its
+matrix.  Parity reads the
 identity coefficients of the diagonal; cross terms contribute
 lambda + conjugate(lambda), which has even identity coefficient, so
 the diagonal rule agrees with evaluation parity.  The augmented form
@@ -76,14 +82,18 @@ def mat_mul(A, B, k):
     if not A or not B:
         return ()
     w = len(B[0])
-    h = len(B)
     out = []
     for row in A:
+        # a zero entry contributes nothing: the kernel is called only
+        # when both operands have terms
+        live = [(Bp, x.terms) for Bp, x in zip(B, row) if x.terms]
         new = []
         for j in range(w):
             acc = {}
-            for p in range(h):
-                _kernel.ring_addmul(acc, row[p].terms, B[p][j].terms, k)
+            for Bp, a in live:
+                b = Bp[j].terms
+                if b:
+                    _kernel.ring_addmul(acc, a, b, k)
             new.append(GroupRingElt._raw(k, acc))
         out.append(tuple(new))
     return tuple(out)
@@ -113,13 +123,25 @@ def _star(A):
     return mat_transpose(mat_involute(A))
 
 
+def _is_square(C, n):
+    return len(C) == n and all(len(r) == n for r in C)
+
+
 def _is_inverse(A, C, k):
     """True iff C is a two-sided inverse of the square matrix A: the
     shape first, then A C = 1, then C A = 1."""
-    n = len(A)
-    return (len(C) == n and all(len(r) == n for r in C)
+    return (_is_square(C, len(A))
             and mat_is_identity(mat_mul(A, C, k))
             and mat_is_identity(mat_mul(C, A, k)))
+
+
+def _is_hermitian_inverse(A, C, k):
+    """True iff C is a two-sided inverse of the hermitian matrix A: the
+    shape first, then A C = 1 alone."""
+    # For A = A*, A C = 1 already gives C A = 1.  Star is an
+    # anti-automorphism with 1* = 1, so applying it to A C = 1 gives
+    # C* A = 1.  Then C* = C* (A C) = (C* A) C = C, and C A = C* A = 1.
+    return _is_square(C, len(A)) and mat_is_identity(mat_mul(A, C, k))
 
 
 def _check_entries(k, rows, what):
@@ -135,14 +157,14 @@ def _check_entries(k, rows, what):
 
 class HermitianForm:
     """Hermitian matrix over Z[B(k)] with an optional verified inverse
-    and optional Arf provenance."""
+    and optional Arf provenance.  Read-only once constructed."""
 
     __slots__ = ("k", "matrix", "inverse", "arf")
 
     def __init__(self, k, matrix, inverse=None, arf=None):
         matrix = _freeze(matrix)
         n = len(matrix)
-        if any(len(row) != n for row in matrix):
+        if not _is_square(matrix, n):
             raise SchemaError("form matrix must be square")
         _check_entries(k, matrix, "form")
         for i in range(n):
@@ -150,18 +172,25 @@ class HermitianForm:
                 if matrix[j][i] != matrix[i][j].involute():
                     raise SchemaError(
                         "matrix is not hermitian at (%d, %d)" % (i, j))
-        self.k = k
-        self.matrix = matrix
         if inverse is not None:
             inverse = _freeze(inverse)
             _check_entries(k, inverse, "certificate")
-            if not _is_inverse(matrix, inverse, k):
+            if not self._certifies(matrix, inverse, k):
                 raise CertificateError("inverse certificate failed"
                                        " verification")
-        self.inverse = inverse
         if arf is not None and not isinstance(arf, ArfTag):
             raise SchemaError("arf must be an ArfTag")
-        self.arf = arf
+        for name, value in (("k", k), ("matrix", matrix),
+                            ("inverse", inverse), ("arf", arf)):
+            object.__setattr__(self, name, value)
+
+    _certifies = staticmethod(_is_hermitian_inverse)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HermitianForm is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError("HermitianForm is read-only")
 
     @property
     def rank(self):
@@ -180,8 +209,8 @@ class HermitianForm:
             doc["arf"] = self.arf.to_json()
         return doc
 
-    @classmethod
-    def from_json(cls, doc):
+    @staticmethod
+    def from_json(doc):
         if not isinstance(doc, dict):
             raise SchemaError("form must be a JSON object")
         k = doc.get("k")
@@ -192,7 +221,7 @@ class HermitianForm:
         if "inverse" in doc:
             inverse = _json_matrix(doc["inverse"], k, "inverse")
         arf = ArfTag.from_json(doc["arf"]) if "arf" in doc else None
-        return cls(k, matrix, inverse, arf)
+        return HermitianForm(k, matrix, inverse, arf)
 
 
 def _json_matrix(rows, k, what):
@@ -369,7 +398,9 @@ def try_invert(f):
 
 
 def verify_inverse(f, C):
-    return _is_inverse(f.matrix, _freeze(C), f.k)
+    """True iff C is the inverse of the form matrix, checked by exact
+    multiplication (one product: the matrix is hermitian)."""
+    return _is_hermitian_inverse(f.matrix, _freeze(C), f.k)
 
 
 def _is_unit_triangular(M, upper):
@@ -407,18 +438,35 @@ def unit_triangular_inverse(M, k):
 
 
 def _invert_any(M, k):
+    """A verified two-sided inverse of the square matrix M, or None."""
     M = _freeze(M)
     if _is_unit_triangular(M, True) or _is_unit_triangular(M, False):
-        return unit_triangular_inverse(M, k)
+        X = unit_triangular_inverse(M, k)
+        return X if _is_inverse(M, X, k) else None
     return invert_matrix(M, k)
+
+
+class _TransportedForm(HermitianForm):
+    """A form built by congruence.  Its certificate is exact by
+    construction from checked factors (the proof is at congruence), so
+    only the certificate's product with the matrix is skipped; the
+    shape, entry and hermitian checks still run."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _certifies(matrix, inverse, k):
+        return _is_square(inverse, len(matrix))
 
 
 def congruence(f, U):
     """The form U^T A involute(U), certificate transported when
     possible.  U must be square of matching rank."""
+    if not isinstance(f, HermitianForm):
+        raise TypeError("congruence takes a HermitianForm")
     U = _freeze(U)
     n = f.rank
-    if len(U) != n or any(len(r) != n for r in U):
+    if not _is_square(U, n):
         raise ValueError("congruence matrix must match the rank")
     _check_entries(f.k, U, "congruence")
     k = f.k
@@ -429,7 +477,14 @@ def congruence(f, U):
         W = _invert_any(ubar, k)
         if W is not None:
             cert = mat_mul(mat_mul(W, f.inverse, k), _star(W), k)
-    return HermitianForm(k, A2, cert, f.arf)
+    # The certificate C2 = W C W* of A2 = U^T A Ubar, with A = f.matrix
+    # and C = f.inverse, is correct without multiplying A2 by C2:
+    # A C = 1 because f is a HermitianForm (checked or derived when f
+    # was built, and forms are read-only), and W Ubar = Ubar W = 1
+    # because _invert_any checked both products.  Since Ubar* = U^T,
+    #   A2 C2 = U^T A (Ubar W) C W* = U^T (A C) W* = U^T W* = (W Ubar)* = 1,
+    # and A2 is hermitian, so C2 A2 = 1 as at _is_hermitian_inverse.
+    return _TransportedForm(k, A2, cert, f.arf)
 
 
 def verify_isometry(f, g, U):

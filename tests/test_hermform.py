@@ -3,14 +3,16 @@
 Key cross-checks: the sesquilinear evaluation identity
 id(s(x, x)) = sum_i id(A_ii) * eps(x_i) mod 2 ties the diagonal parity
 rule to actual form values, and every generated certificate is verified
-by exact matrix multiplication rather than trusted.
+again by exact matrix multiplication rather than trusted.  Tampered
+certificates and tampered transport factors are shown to be rejected.
 """
 
+import json
 import random
 
 import pytest
 
-from bsfour import hermform, intlinalg
+from bsfour import _kernel, cli, hermform, intlinalg
 from bsfour.errors import CertificateError, SchemaError
 from bsfour.groupring import GroupRingElt
 from bsfour.hermform import (HermitianForm, Parity, congruence, hyperbolic,
@@ -300,3 +302,140 @@ def test_arf_tag_validation():
         hermform.ArfTag("asserted", 2)
     with pytest.raises(SchemaError):
         hermform.ArfTag("guessed", 0)
+
+
+# -- certificates checked once, at their factors ----------------------------
+
+def test_congruence_rejects_wrong_triangular_inverse(monkeypatch):
+    k = 2
+    f = hermform.even_reference_form(k, hyperbolics=2)
+    U = random_unit_triangular(random.Random(80), k, f.rank, max_terms=1)
+    real = hermform.unit_triangular_inverse
+    a = GroupRingElt.from_word(k, "a")
+
+    def wrong(M, k):
+        X = [list(row) for row in real(M, k)]
+        X[0][-1] = X[0][-1] + a
+        return hermform._freeze(X)
+
+    assert congruence(f, U).inverse is not None
+    monkeypatch.setattr(hermform, "unit_triangular_inverse", wrong)
+    assert congruence(f, U).inverse is None
+    with pytest.raises(CertificateError):
+        isometry_inverse(U, k)
+
+
+def test_forms_are_read_only():
+    k = 2
+    base = hermform.even_reference_form(k, hyperbolics=1)
+    U = random_unit_triangular(random.Random(81), k, base.rank)
+    for f in (base, congruence(base, U)):
+        for name in ("k", "matrix", "inverse", "arf"):
+            before = getattr(f, name)
+            with pytest.raises(AttributeError):
+                setattr(f, name, None)
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+            assert getattr(f, name) is before
+
+
+def test_one_sided_check_agrees_with_two_sided():
+    rng = random.Random(82)
+    verdicts = set()
+    for i in range(200):
+        k = rng.choice((2, 3, -2))
+        g = random_certificated(rng, k, r=rng.randint(1, 2), entry_terms=1)
+        C = [list(row) for row in g.inverse]
+        if i % 2:
+            r, c = rng.randrange(g.rank), rng.randrange(g.rank)
+            w = "".join(rng.choice("aAbB") for _ in range(rng.randint(0, 3)))
+            C[r][c] = C[r][c] + GroupRingElt.from_word(k, w,
+                                                       rng.choice((-1, 1)))
+        C = hermform._freeze(C)
+        one_sided = verify_inverse(g, C)
+        assert one_sided == hermform._is_inverse(g.matrix, C, k)
+        assert one_sided == (i % 2 == 0)
+        verdicts.add(one_sided)
+    assert verdicts == {True, False}
+
+
+def test_form_command_rejects_tampered_transport_certificate(capsys,
+                                                             tmp_path):
+    k = 3
+    g = random_certificated(random.Random(83), k, r=1, e8=1, entry_terms=1)
+    doc = g.to_json()
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["form", str(path)]) == 0
+    cell = GroupRingElt.from_json(doc["inverse"][3][7])
+    doc["inverse"][3][7] = (cell - GroupRingElt.from_word(k, "b")).to_json()
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["form", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+class _KernelCalls:
+    """Wraps _kernel.ring_addmul and records its operands."""
+
+    def __init__(self, monkeypatch):
+        self.operands = []
+        real = _kernel.ring_addmul
+
+        def counted(acc, p, q, k):
+            self.operands.append((p, q))
+            return real(acc, p, q, k)
+
+        monkeypatch.setattr(_kernel, "ring_addmul", counted)
+
+    def products(self, thunk):
+        start = len(self.operands)
+        result = thunk()
+        self.last = self.operands[start:]
+        return result, sum(len(p) * len(q) for p, q in self.last)
+
+
+def test_congruence_does_no_product_with_its_certificate(monkeypatch):
+    k = 2
+    f = hermform.even_reference_form(k, hyperbolics=1, e8_blocks=1)
+    U = random_unit_triangular(random.Random(84), k, f.rank, max_terms=1)
+    calls = _KernelCalls(monkeypatch)
+    mul = hermform.mat_mul
+    ubar = hermform.mat_involute(U)
+    # the transport's own products: U^T A Ubar, W = Ubar^-1 and its
+    # two-sided check, W C W*
+    _, n1 = calls.products(
+        lambda: mul(mul(hermform.mat_transpose(U), f.matrix, k), ubar, k))
+    W, n2 = calls.products(lambda: hermform.unit_triangular_inverse(ubar, k))
+    _, n3 = calls.products(lambda: hermform._is_inverse(ubar, W, k))
+    _, n4 = calls.products(
+        lambda: mul(mul(W, f.inverse, k), hermform._star(W), k))
+    own = n1 + n2 + n3 + n4
+    g, spent = calls.products(lambda: congruence(f, U))
+    assert g.inverse is not None and spent <= own
+    matrix_terms = [p.terms for row in g.matrix for p in row]
+    cert_terms = [p.terms for row in g.inverse for p in row]
+    for p, q in calls.last:
+        assert not (any(p is t for t in matrix_terms)
+                    and any(q is t for t in cert_terms))
+        assert not (any(p is t for t in cert_terms)
+                    and any(q is t for t in matrix_terms))
+    # the product left out is the bulk of a full check
+    _, check = calls.products(lambda: verify_inverse(g, g.inverse))
+    assert check > own
+
+
+def test_mat_mul_skips_empty_operands(monkeypatch):
+    k = 3
+    rng = random.Random(85)
+    f = hermform.even_reference_form(k, hyperbolics=1, e8_blocks=1)
+    U = random_unit_triangular(rng, k, f.rank, max_terms=1)
+    calls = _KernelCalls(monkeypatch)
+    for A, B in ((f.matrix, U), (U, f.inverse), (U, U)):
+        got, _ = calls.products(lambda: hermform.mat_mul(A, B, k))
+        assert calls.last
+        assert all(p and q for p, q in calls.last)
+        n = len(A)
+        want = tuple(tuple(sum((A[i][p] * B[p][j] for p in range(n)),
+                               zero(k)) for j in range(n)) for i in range(n))
+        assert got == want
