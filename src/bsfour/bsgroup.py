@@ -13,7 +13,6 @@ group; all are handled by the same reduction.
 Words are strings over a, A, b, B with A = a^-1 and B = b^-1.
 """
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import _kernel
@@ -29,9 +28,6 @@ class BSElement(NamedTuple):
     num: int
     pow: int
     t: int
-
-    def is_identity(self):
-        return self.num == 0 and self.t == 0
 
     def to_json(self):
         return {"num": str(self.num), "pow": self.pow, "t": str(self.t)}
@@ -71,31 +67,12 @@ def element(num, pow, t, k):
     return BSElement(*_kernel.bs_reduce(num, pow, t, k))
 
 
-def identity():
-    return BSElement(0, 0, 0)
-
-
-def gen_a():
-    return BSElement(0, 0, 1)
-
-
-def gen_b(k):
-    return element(1, 0, 0, k)
-
-
 def multiply(g, h, k):
     return BSElement(*_kernel.bs_mul(tuple(g), tuple(h), k))
 
 
 def invert(g, k):
     return BSElement(*_kernel.bs_inv(tuple(g), k))
-
-
-def conjugated_b(i, k):
-    """a^-i b a^i, the generator of |k|^-i Z inside Z[1/k]."""
-    if i < 0:
-        raise ValueError("i must be non-negative")
-    return element(-1 if (k < 0 and i & 1) else 1, i, 0, k)
 
 
 def check_word(word):
@@ -122,16 +99,6 @@ def free_reduce(word):
         else:
             out.append(ch)
     return "".join(out)
-
-
-def invert_word(word):
-    return check_word(word)[::-1].swapcase()
-
-
-def x_fraction(g, k):
-    """The x-part as an exact rational."""
-    kq = -k if k < 0 else k
-    return Fraction(g[0], (kq or 1) ** g[1])
 
 
 def sort_key(g):

@@ -140,24 +140,10 @@ class GroupRingElt:
     def identity_coefficient(self):
         return self.terms.get(_IDENT, 0)
 
-    def map_coefficients(self, fn):
-        out = {}
-        for g, c in self.terms.items():
-            c = fn(c)
-            if c:
-                out[g] = c
-        return self._raw(self.k, out)
-
     def sorted_terms(self):
         """Pairs (element, coefficient) in canonical (t, pow, num) order."""
         return [(BSElement(*g), self.terms[g])
                 for g in sorted(self.terms, key=bsgroup.sort_key)]
-
-    def support(self):
-        return [g for g, _ in self.sorted_terms()]
-
-    def coefficients(self):
-        return [c for _, c in self.sorted_terms()]
 
     def to_json(self):
         return {"k": self.k,

@@ -263,21 +263,6 @@ def parity(f):
     return Parity.EVEN
 
 
-def sesquilinear(f, x, y):
-    """s(x, y) = x A involute(y)^T for row vectors over the ring."""
-    n = f.rank
-    if len(x) != n or len(y) != n:
-        raise ValueError("vector length must match the rank")
-    ybar = [p.involute() for p in y]
-    total = _zero(f.k)
-    for i in range(n):
-        row = _zero(f.k)
-        for j in range(n):
-            row = row + f.matrix[i][j] * ybar[j]
-        total = total + x[i] * row
-    return total
-
-
 def augment_form(f):
     """Integer Gram matrix: the augmentation applied entrywise."""
     return [[p.augment() for p in row] for row in f.matrix]
@@ -432,7 +417,9 @@ def unit_triangular_inverse(M, k):
         for i in range(j - 1, -1, -1):
             acc = {}
             for p in range(i + 1, j + 1):
-                _kernel.ring_addmul(acc, M[i][p].terms, X[p][j].terms, k)
+                a, b = M[i][p].terms, X[p][j].terms
+                if a and b:
+                    _kernel.ring_addmul(acc, a, b, k)
             X[i][j] = -GroupRingElt._raw(k, acc)
     return _freeze(X)
 

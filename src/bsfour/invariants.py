@@ -155,7 +155,7 @@ def stable_bordism_group(cx, w2):
         raise SchemaError("w2 must be a W2Type")
     if w2 is W2Type.I:
         raise DescriptorError("type I has no such bordism description;"
-                              " use stable_classify_typeI")
+                              " only types II and III do")
     if w2 is W2Type.III and k % 2 == 0:
         raise DescriptorError("type III requires odd k")
     d2, d1 = foxchain.tensor_trivial(cx, modulus=2)
@@ -381,43 +381,3 @@ def realize(k, form):
         out.append(ManifoldDescriptor(k, form, W2Type.III, ks3))
     return out
 
-
-def stable_classify_typeI(d1, d2):
-    """Stable comparison for type I: equal signature and KS decide.
-    The remaining stable invariant lives in H4 of the group, which
-    vanishes, so it imposes no condition."""
-    if not isinstance(d1, ManifoldDescriptor) \
-            or not isinstance(d2, ManifoldDescriptor):
-        raise SchemaError("expected two manifold descriptors")
-    if d1.w2 is not W2Type.I or d2.w2 is not W2Type.I:
-        raise DescriptorError("stable comparison applies to type I only")
-    if d1.k != d2.k:
-        raise GroupMismatchError("descriptors are over different k")
-    return d1.signature == d2.signature and d1.ks == d2.ks
-
-
-@dataclass(frozen=True)
-class RadicalDescription:
-    """Symbolic description of H^2 of the group with group-ring
-    coefficients: infinitely generated for k != 0, so no matrix form."""
-
-    k: int
-    is_zero: bool
-    surjects_onto: Optional[str]
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        return "free abelian, surjects onto %s" % self.surjects_onto
-
-    def to_json(self):
-        return {"k": self.k, "free_abelian": not self.is_zero,
-                "surjects_onto": self.surjects_onto}
-
-
-def radical_description(k):
-    if k == 0:
-        return RadicalDescription(0, True, None)
-    if abs(k) == 1:
-        return RadicalDescription(k, False, "Z")
-    return RadicalDescription(k, False, "Z[1/%d]" % abs(k))

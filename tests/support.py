@@ -1,7 +1,10 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and oracles for the test suite.
 
-Everything takes an explicit random.Random so runs are reproducible.
+Every generator takes an explicit random.Random so runs are
+reproducible.
 """
+
+from fractions import Fraction
 
 from bsfour import bsgroup
 from bsfour.groupring import FreeRingElt, GroupRingElt
@@ -74,3 +77,24 @@ def geometric_series(k):
     if k == 0:
         return FreeRingElt.zero()
     return FreeRingElt._raw({"B" * i: -1 for i in range(1, -k + 1)})
+
+
+def x_fraction(g, k):
+    """The x-part as an exact rational."""
+    kq = -k if k < 0 else k
+    return Fraction(g[0], (kq or 1) ** g[1])
+
+
+def sesquilinear(f, x, y):
+    """s(x, y) = x A involute(y)^T for row vectors over the ring."""
+    n = f.rank
+    if len(x) != n or len(y) != n:
+        raise ValueError("vector length must match the rank")
+    ybar = [p.involute() for p in y]
+    total = GroupRingElt.zero(f.k)
+    for i in range(n):
+        row = GroupRingElt.zero(f.k)
+        for j in range(n):
+            row = row + f.matrix[i][j] * ybar[j]
+        total = total + x[i] * row
+    return total

@@ -43,6 +43,7 @@ from support import (
     random_ring_elt,
     random_unit_triangular,
     random_word,
+    x_fraction,
 )
 
 KS_ALL = list(range(-12, 13))
@@ -190,7 +191,7 @@ def test_criterion_5_algebra_properties():
                 word = random_word(rng, 25)
                 g = bsgroup.eval_word(word, k)
                 x, t = affine_eval(word, k)
-                assert bsgroup.x_fraction(g, k) == x and g.t == t, (word, k)
+                assert x_fraction(g, k) == x and g.t == t, (word, k)
 
 
 def test_criterion_6_signature_mod8_and_ks():

@@ -100,8 +100,13 @@ def test_bordism(capsys):
     doc = run_json(capsys, "bordism", "--k", "3", "--w2", "II")
     assert doc["signature_multiple"] == 8
     assert doc["torsion"] == {"free_rank": 0, "torsion": ["2"]}
-    code, _ = run(capsys, "bordism", "--k", "3", "--w2", "I")
-    assert code == 2
+    code = cli.main(["bordism", "--k", "3", "--w2", "I"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    # one line for the user, naming no Python function
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: type I ")
+    assert "stable_classify" not in captured.err
     code, _ = run(capsys, "bordism", "--k", "2", "--w2", "III")
     assert code == 2
 

@@ -16,10 +16,10 @@ from bsfour import _kernel, cli, hermform, intlinalg
 from bsfour.errors import CertificateError, SchemaError
 from bsfour.groupring import GroupRingElt
 from bsfour.hermform import (HermitianForm, Parity, congruence, hyperbolic,
-                             isometry_inverse, parity, sesquilinear,
-                             try_invert, verify_inverse, verify_isometry)
+                             isometry_inverse, parity, try_invert,
+                             verify_inverse, verify_isometry)
 
-from support import random_ring_elt, random_unit_triangular
+from support import random_ring_elt, random_unit_triangular, sesquilinear
 
 one = GroupRingElt.one
 zero = GroupRingElt.zero
@@ -439,3 +439,9 @@ def test_mat_mul_skips_empty_operands(monkeypatch):
         want = tuple(tuple(sum((A[i][p] * B[p][j] for p in range(n)),
                                zero(k)) for j in range(n)) for i in range(n))
         assert got == want
+    # the triangular solve skips them too, upper and lower
+    for M in (U, hermform.mat_transpose(U)):
+        W, _ = calls.products(lambda: hermform.unit_triangular_inverse(M, k))
+        assert calls.last
+        assert all(p and q for p, q in calls.last)
+        assert hermform._is_inverse(M, W, k)

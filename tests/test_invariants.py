@@ -27,10 +27,8 @@ from bsfour.invariants import (
     homology_closed_form,
     ks_constraint,
     lgroup_table,
-    radical_description,
     realize,
     stable_bordism_group,
-    stable_classify_typeI,
 )
 
 from support import random_unit_triangular
@@ -323,6 +321,9 @@ def test_classify_detects_invariant_mismatches():
     res = classify(odd0, odd1)
     assert res.verdict == "NotHomeomorphic"
     assert any("Kirby-Siebenmann" in r for r in res.reasons)
+    # equal signature and KS leave no invariant that tells them apart
+    res = classify(odd0, ManifoldDescriptor(k, odd_form(k), W2Type.I, 0))
+    assert res.reasons == ("no isometry certificate supplied",)
 
     even = ManifoldDescriptor(k, hermform.hyperbolic(k, 1), W2Type.II, 0)
     assert classify(odd0, even).verdict == "NotHomeomorphic"
@@ -337,6 +338,13 @@ def test_classify_detects_invariant_mismatches():
     res = classify(odd0, plus2)
     assert res.verdict == "NotHomeomorphic"
     assert any("signature" in r for r in res.reasons)
+    plus = ManifoldDescriptor(
+        k, hermform.from_integer_matrix(k, [[1]]), W2Type.I, 0)
+    minus = ManifoldDescriptor(
+        k, hermform.from_integer_matrix(k, [[-1]]), W2Type.I, 0)
+    res = classify(plus, minus)
+    assert res.verdict == "NotHomeomorphic"
+    assert res.reasons == ("signature differs: 1 vs -1",)
 
     with pytest.raises(GroupMismatchError):
         classify(odd0, ManifoldDescriptor(3, odd_form(3), W2Type.I, 0))
@@ -374,38 +382,3 @@ def test_classify_json_shape():
     assert doc["verdict"] == "Unknown"
     assert doc["invariants"]["first"]["parity"] == "even"
     assert doc["invariants"]["second"]["signature"] == 0
-
-
-def test_stable_classification_for_odd_forms():
-    k = 2
-    d0 = ManifoldDescriptor(k, odd_form(k), W2Type.I, 0)
-    d0b = ManifoldDescriptor(k, odd_form(k), W2Type.I, 0)
-    d1 = ManifoldDescriptor(k, odd_form(k), W2Type.I, 1)
-    plus = ManifoldDescriptor(
-        k, hermform.from_integer_matrix(k, [[1]]), W2Type.I, 0)
-    minus = ManifoldDescriptor(
-        k, hermform.from_integer_matrix(k, [[-1]]), W2Type.I, 0)
-    assert stable_classify_typeI(d0, d0b) is True
-    assert stable_classify_typeI(d0, d1) is False
-    assert stable_classify_typeI(plus, minus) is False
-    even = ManifoldDescriptor(k, hermform.hyperbolic(k, 1), W2Type.II, 0)
-    with pytest.raises(DescriptorError):
-        stable_classify_typeI(d0, even)
-    with pytest.raises(GroupMismatchError):
-        stable_classify_typeI(
-            d0, ManifoldDescriptor(3, odd_form(3), W2Type.I, 0))
-
-
-def test_radical_description():
-    r = radical_description(2)
-    assert not r.is_zero
-    assert r.surjects_onto == "Z[1/2]"
-    assert "free abelian" in str(r)
-    assert radical_description(-2).surjects_onto == "Z[1/2]"
-    assert radical_description(1).surjects_onto == "Z"
-    zero = radical_description(0)
-    assert zero.is_zero
-    assert str(zero) == "0"
-    doc = radical_description(3).to_json()
-    assert doc["free_abelian"] is True
-    assert doc["surjects_onto"] == "Z[1/3]"
