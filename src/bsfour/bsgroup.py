@@ -18,6 +18,15 @@ from typing import NamedTuple
 from . import _kernel
 from .errors import SchemaError, WordSyntaxError
 
+# Largest |t|, pow and |k| of a group element read from JSON.  A product
+# of two elements builds powers of |k| as large as |k|^(|t| + pow).  On a
+# 2-core x86 host, a 715-byte form document with a wrong certificate
+# took 8 s to be rejected at t = 10^7, k = 3, and 6 s at t = 1000 and a
+# 4000-digit k; at these limits the worst such document exits within a
+# second (docs/schemas/element.md).
+MAX_JSON_EXPONENT = 10000
+MAX_JSON_K = 100000
+
 _LETTERS = frozenset("aAbB")
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
@@ -39,11 +48,19 @@ class BSElement(NamedTuple):
         for field in ("num", "pow", "t"):
             if field not in doc:
                 raise SchemaError("group element missing field %r" % field)
+        if abs(k) > MAX_JSON_K:
+            raise SchemaError("group elements are read only for |k| <= %d"
+                              % MAX_JSON_K)
         num = _json_int(doc["num"], "num")
         t = _json_int(doc["t"], "t")
+        if abs(t) > MAX_JSON_EXPONENT:
+            raise SchemaError("field 't' must have |t| <= %d"
+                              % MAX_JSON_EXPONENT)
         pw = doc["pow"]
         if not isinstance(pw, int) or isinstance(pw, bool) or pw < 0:
             raise SchemaError("pow must be a non-negative integer")
+        if pw > MAX_JSON_EXPONENT:
+            raise SchemaError("pow must be at most %d" % MAX_JSON_EXPONENT)
         return element(num, pw, t, k)
 
 
@@ -55,8 +72,12 @@ def _json_int(value, field):
     if isinstance(value, str):
         text = value.strip()
         stripped = text[1:] if text[:1] in "+-" else text
-        if stripped.isdigit():
-            return int(text)
+        if stripped.isascii() and stripped.isdigit():
+            try:
+                return int(text)
+            except ValueError:  # longer than int() reads from a string
+                raise SchemaError("field %r has too many digits"
+                                  % field) from None
     raise SchemaError("field %r must be a decimal integer string" % field)
 
 

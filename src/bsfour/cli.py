@@ -6,6 +6,9 @@ JSON on stdout by default, aligned text with --pretty.  Exit codes:
 Output is deterministic: ring terms are emitted in the canonical
 (a-exponent, denominator-exponent, numerator) order and every integer
 that can grow without bound is a decimal string.
+
+main(argv) may be called repeatedly in one process, as the benchmark
+and the tests do; every call shares the one parser built at import.
 """
 
 import argparse
@@ -334,10 +337,12 @@ def _glue_range(argv):
     return out
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(
+        args = _PARSER.parse_args(
             _glue_range(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else exc.code

@@ -183,10 +183,21 @@ def test_json_rejects_garbage():
         {"num": "x", "pow": 0, "t": "0"},
         {"num": "1", "t": "0"},
         {"num": 1.5, "pow": 0, "t": "0"},
+        {"num": "\u00b2", "pow": 0, "t": "0"},
+        {"num": "9" * 5000, "pow": 0, "t": "0"},
+        {"num": "1", "pow": bsgroup.MAX_JSON_EXPONENT + 1, "t": "0"},
+        {"num": "1", "pow": 0, "t": str(-bsgroup.MAX_JSON_EXPONENT - 1)},
         "nope",
     ]:
         with pytest.raises(SchemaError):
             BSElement.from_json(doc, 2)
+    edge = {"num": "1", "pow": bsgroup.MAX_JSON_EXPONENT,
+            "t": str(-bsgroup.MAX_JSON_EXPONENT)}
+    for k in (bsgroup.MAX_JSON_K, -bsgroup.MAX_JSON_K):
+        assert BSElement.from_json(edge, k) == (1, bsgroup.MAX_JSON_EXPONENT,
+                                                -bsgroup.MAX_JSON_EXPONENT)
+        with pytest.raises(SchemaError):
+            BSElement.from_json(edge, 2 * k)
 
 
 def test_sort_key_orders_by_t_then_pow_then_num():

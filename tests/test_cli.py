@@ -5,6 +5,7 @@ JSON and compared against the library, so every emitted document is
 also a round-trip test of the schema.
 """
 
+import argparse
 import json
 import os
 import pathlib
@@ -16,7 +17,7 @@ import time
 
 import pytest
 
-from bsfour import cli, foxchain, hermform, intlinalg
+from bsfour import bsgroup, cli, foxchain, hermform, intlinalg
 from bsfour.groupring import GroupRingElt
 from bsfour.hermform import HermitianForm
 from bsfour.invariants import ManifoldDescriptor, W2Type
@@ -359,6 +360,117 @@ def test_k_beyond_limit_exits_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+REPEATED_ARGV = [
+    ["nosuch"],
+    ["--help"],
+    ["homology", "--k", str(cli.MAX_CHAIN_K + 1)],
+    ["report", "--k-range=-3..3"],
+    ["lgroups", "--k", "7"],
+    ["nosuch"],
+]
+
+
+def test_main_repeats_like_a_fresh_process(capsys, monkeypatch, tmp_path):
+    # argparse wraps help to the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = tmp_path / "out.txt", tmp_path / "err.txt"
+    codes = []
+    for argv in REPEATED_ARGV:
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        fresh = spawn_measured(argv, out, err)[0]
+        assert (code, captured.out, captured.err) == (
+            fresh, out.read_text(), err.read_text()), argv
+        codes.append(code)
+    assert codes == [64, 0, 2, 0, 0, 64]
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    built = []
+    honest = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert [cli.main(["lgroups", "--k", "7"]),
+            cli.main(["nosuch"]),
+            cli.main(["group", "--k", "2", "--word", "ab"])] == [0, 64, 0]
+    capsys.readouterr()
+    assert built == []
+
+
+def element_limit_form(t, k=3, pow=None):
+    """The rank-2 form [[x, 1], [1, 0]], x = g + g^-1 for g = b a^t, with
+    the matrix itself as a wrong certificate: checking it multiplies x
+    by x, which builds |k|^(2|t|).  With pow, x is b^(1/|k|^pow) a^t
+    instead, written out by hand since the reader is what is under
+    test."""
+    if pow is None:
+        g = bsgroup.element(1, 0, t, k)
+        x = GroupRingElt(k, {tuple(g): 1,
+                             tuple(bsgroup.invert(g, k)): 1}).to_json()
+    else:
+        x = {"k": k, "terms": [{"coeff": "1", "elt": {
+            "num": "1", "pow": pow, "t": str(t)}}]}
+    one, zero = GroupRingElt.one(k).to_json(), GroupRingElt.zero(k).to_json()
+    matrix = [[x, one], [one, zero]]
+    return {"k": k, "matrix": matrix, "inverse": matrix}
+
+
+@pytest.mark.parametrize("doc, field", [
+    (element_limit_form(3 * 10 ** 7), "'t'"),
+    (element_limit_form(-bsgroup.MAX_JSON_EXPONENT - 1, pow=0), "'t'"),
+    (element_limit_form(0, pow=bsgroup.MAX_JSON_EXPONENT + 1), "pow"),
+    (element_limit_form(0, pow=3 * 10 ** 7), "pow"),
+    (element_limit_form(1000, k=10 ** 4000 + 1), "|k|"),
+], ids=["t=3e7", "t=-limit-1", "pow=limit+1", "pow=3e7", "k=10^4000+1"])
+def test_element_beyond_limit_exits_2_fast(capsys, tmp_path, doc, field):
+    # t = 3e7 at k = 3 took 54 s to be rejected before the limit, and
+    # t = 1000 at the 4001-digit k 6 s
+    path = write(tmp_path / "form.json", doc)
+    start = time.perf_counter()
+    code = cli.main(["form", path])
+    seconds = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert field in captured.err
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["form"], 2),
+    (["form", "--try-invert"], 0),
+    (["realize", "--try-invert"], 0),
+], ids=["form", "form-try-invert", "realize-try-invert"])
+@pytest.mark.parametrize("k", [bsgroup.MAX_JSON_K, -bsgroup.MAX_JSON_K])
+def test_largest_accepted_element_within_budget(tmp_path, argv, code, k):
+    """The form of element_limit_form at |t| = pow = the limit and
+    |k| = its limit: the wrong certificate is rejected, and without it
+    --try-invert finds the inverse; each run takes under 2 s and 100 MB
+    in a fresh interpreter."""
+    doc = element_limit_form(bsgroup.MAX_JSON_EXPONENT, k)
+    assert bsgroup.MAX_JSON_EXPONENT == max(
+        max(abs(int(e["elt"]["t"])), e["elt"]["pow"])
+        for e in doc["matrix"][0][0]["terms"])
+    if code == 0:
+        del doc["inverse"]
+    path = write(tmp_path / "form.json", doc)
+    out, err = tmp_path / "out.json", tmp_path / "err.txt"
+    got, seconds, rss_mb = spawn_measured(argv + [path], out, err)
+    assert got == code, err.read_text()
+    assert seconds <= 2.0
+    assert rss_mb <= 100.0
+    if code == 0:
+        assert err.read_text() == ""
+        json.loads(out.read_text())
+    else:
+        assert err.read_text() == (
+            "error: inverse certificate failed verification\n")
 
 
 def readme_blocks():

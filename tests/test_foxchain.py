@@ -13,7 +13,7 @@ import pytest
 
 from bsfour import bsgroup, foxchain
 from bsfour.errors import ChainComplexError
-from bsfour.foxchain import FoxComplex, build_complex, fox_derivative, relator_word
+from bsfour.foxchain import build_complex, fox_derivative, relator_word
 from bsfour.groupring import FreeRingElt, GroupRingElt
 
 from support import geometric_series, random_word

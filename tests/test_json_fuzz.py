@@ -1,0 +1,167 @@
+"""Property tests of the JSON readers that take outside documents.
+
+BSElement.from_json, GroupRingElt.from_json and hermform.matrix_from_json
+either return a value or raise SchemaError on any document, never another
+exception; valid values survive to_json -> json.dumps -> from_json with
+identical bytes.  The malformed documents are built from valid ones with
+fields swapped for junk, so they reach every check of a reader, not only
+the first.
+"""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from bsfour import bsgroup, hermform
+from bsfour.bsgroup import MAX_JSON_EXPONENT, MAX_JSON_K, BSElement
+from bsfour.errors import SchemaError
+from bsfour.groupring import GroupRingElt
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
+                database=None)
+
+# ks: values of k that elements are read over; any_k adds any integer,
+# the first one past the limit among them.
+ks = st.one_of(st.integers(-6, 6),
+               st.sampled_from([-MAX_JSON_K, MAX_JSON_K]))
+any_k = st.one_of(ks, st.integers(), st.just(MAX_JSON_K + 1))
+
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+# Decimal strings, well-formed or nearly so: signs, padding, non-ASCII
+# digits, exponents at and past the limits, more digits than int() reads.
+int_texts = st.one_of(
+    st.integers().map(str),
+    st.integers(-MAX_JSON_EXPONENT - 2, MAX_JSON_EXPONENT + 2).map(str),
+    st.sampled_from(["", "-", "+7", " 12 ", "1_000", "0x1f", "1e3", "²",
+                     "５", "١٢", "9" * 5000, "-" + "9" * 5000]),
+    st.text(alphabet="0123456789+- ²٣", max_size=6))
+
+
+exponents = st.one_of(
+    st.integers(-2, 20),
+    st.sampled_from([MAX_JSON_EXPONENT, MAX_JSON_EXPONENT + 1, 10 ** 30]))
+
+
+def mostly(usual, *other):
+    """usual in three draws of four, else one of other."""
+    return st.integers(0, 3).flatmap(
+        lambda i: usual if i else st.one_of(*other))
+
+
+def field(valid):
+    return mostly(valid, junk)
+
+
+def document(fields):
+    """Mostly every field present, else some missing or not an object
+    at all."""
+    return mostly(st.fixed_dictionaries(fields),
+                  st.fixed_dictionaries({}, optional=fields), junk)
+
+
+element_docs = document({"num": field(st.one_of(int_texts, st.integers())),
+                         "pow": field(exponents),
+                         "t": field(st.one_of(int_texts, st.integers()))})
+
+
+def ring_docs(k):
+    term = document({"coeff": field(int_texts), "elt": element_docs})
+    return document({"k": field(k), "terms": field(st.lists(term,
+                                                             max_size=3))})
+
+
+def matrix_docs(k):
+    rows = st.lists(st.lists(ring_docs(st.just(k)), max_size=2), max_size=2)
+    return document({"k": field(st.just(k)), "matrix": field(rows)})
+
+
+def reads_or_rejects(read, doc):
+    try:
+        return read(doc)
+    except SchemaError:
+        return None
+
+
+def round_trip(doc, read, write):
+    """read(json.loads(json.dumps(doc))), checking that write gives the
+    same bytes back."""
+    text = json.dumps(doc)
+    value = read(json.loads(text))
+    assert json.dumps(write(value)) == text
+    return value
+
+
+@FUZZ
+@given(element_docs, any_k)
+def test_element_reader_raises_only_schema_error(doc, k):
+    g = reads_or_rejects(lambda d: BSElement.from_json(d, k), doc)
+    if g is not None:
+        assert abs(k) <= MAX_JSON_K
+        round_trip(g.to_json(), lambda d: BSElement.from_json(d, k),
+                   BSElement.to_json)
+
+
+@FUZZ
+@given(ring_docs(any_k))
+def test_ring_reader_raises_only_schema_error(doc):
+    p = reads_or_rejects(GroupRingElt.from_json, doc)
+    if p is not None:
+        round_trip(p.to_json(), GroupRingElt.from_json, GroupRingElt.to_json)
+
+
+@FUZZ
+@given(ks.flatmap(matrix_docs))
+def test_matrix_reader_raises_only_schema_error(doc):
+    read = reads_or_rejects(hermform.matrix_from_json, doc)
+    if read is not None:
+        k, M = read
+        round_trip(hermform.matrix_to_json(M, k), hermform.matrix_from_json,
+                   lambda km: hermform.matrix_to_json(km[1], km[0]))
+
+
+elements = st.builds(
+    lambda num, pw, t, k: (bsgroup.element(num, pw, t, k), k),
+    st.integers(), st.integers(0, MAX_JSON_EXPONENT),
+    st.integers(-MAX_JSON_EXPONENT, MAX_JSON_EXPONENT), ks)
+
+
+def ring_elts(k):
+    g = st.builds(lambda num, pw, t: tuple(bsgroup.element(num, pw, t, k)),
+                  st.integers(), st.integers(0, MAX_JSON_EXPONENT),
+                  st.integers(-MAX_JSON_EXPONENT, MAX_JSON_EXPONENT))
+    return st.dictionaries(g, st.integers(), max_size=4).map(
+        lambda terms: GroupRingElt(k, terms))
+
+
+@FUZZ
+@given(elements)
+def test_element_round_trip_is_byte_identical(gk):
+    g, k = gk
+    assert round_trip(g.to_json(), lambda d: BSElement.from_json(d, k),
+                      BSElement.to_json) == g
+
+
+@FUZZ
+@given(ks.flatmap(ring_elts))
+def test_ring_round_trip_is_byte_identical(p):
+    assert round_trip(p.to_json(), GroupRingElt.from_json,
+                      GroupRingElt.to_json) == p
+
+
+@FUZZ
+@given(ks.flatmap(lambda k: st.lists(st.lists(ring_elts(k), min_size=2,
+                                              max_size=2),
+                                     min_size=2, max_size=2)
+                  .map(lambda rows: (k, rows))))
+def test_matrix_round_trip_is_byte_identical(k_rows):
+    k, rows = k_rows
+    assert round_trip(hermform.matrix_to_json(rows, k),
+                      hermform.matrix_from_json,
+                      lambda km: hermform.matrix_to_json(km[1], km[0])) == (
+        k, tuple(tuple(row) for row in rows))
