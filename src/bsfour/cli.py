@@ -38,6 +38,15 @@ MAX_CHAIN_K = 100000
 # fox prints the free derivatives, O(k^2) characters of words; at the
 # limit it takes about 1 s and 55 MB.
 MAX_FOX_K = 3000
+# Longest --word and --times of group, and --expr of ring; both
+# commands accept |k| <= bsgroup.MAX_JSON_K = 10^5.  A word of L letters
+# evaluates to b^(num / |k|^pow) a^t with |num| <= L * |k|^L and
+# pow <= L, so each letter adds at most 5 decimal digits at |k| = 10^5.
+# group multiplies two words, 800 letters in all, and no term of an
+# expression is longer than the expression: num and |k|^pow have at
+# most 5 * 800 + 4 = 4004 digits, within the 4300 that str() writes.
+MAX_WORD_LENGTH = 400
+MAX_EXPR_LENGTH = 800
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,13 +65,21 @@ def _check_k(k, limit, command):
     return k
 
 
+def _check_length(text, limit, option, command):
+    if text is not None and len(text) > limit:
+        raise SchemaError("%s accepts %s of at most %d characters, got %d"
+                          % (command, option, limit, len(text)))
+
+
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def _cmd_group(args):
-    k = args.k
+    k = _check_k(args.k, bsgroup.MAX_JSON_K, "group")
+    _check_length(args.word, MAX_WORD_LENGTH, "--word", "group")
+    _check_length(args.times, MAX_WORD_LENGTH, "--times", "group")
     bsgroup.check_word(args.word)
     g = bsgroup.eval_word(args.word, k)
     if args.times is not None:
@@ -75,6 +92,8 @@ def _cmd_group(args):
 
 
 def _cmd_ring(args):
+    _check_k(args.k, bsgroup.MAX_JSON_K, "ring")
+    _check_length(args.expr, MAX_EXPR_LENGTH, "--expr", "ring")
     p = GroupRingElt.parse(args.k, args.expr)
     if args.involute:
         p = p.involute()

@@ -51,7 +51,7 @@ class ArfTag:
         if self.mode not in (ARF_EXTENDED, ARF_ASSERTED):
             raise SchemaError("arf mode must be %r or %r"
                               % (ARF_EXTENDED, ARF_ASSERTED))
-        if self.value not in (0, 1):
+        if type(self.value) is not int or self.value not in (0, 1):
             raise SchemaError("arf value must be 0 or 1")
         if self.mode == ARF_EXTENDED and self.value != 0:
             raise SchemaError("forms extended from Z have arf 0")
@@ -167,8 +167,13 @@ class HermitianForm:
         if not _is_square(matrix, n):
             raise SchemaError("form matrix must be square")
         _check_entries(k, matrix, "form")
+        # The involution is an involution: M[j][i] == involute(M[i][j])
+        # holds exactly when involute(M[j][i]) == M[i][j], so the checks
+        # at (i, j) and (j, i) are one check and j >= i suffices.  A
+        # pair that fails fails first at its (min, max) position in
+        # row-major order, so the reported position is unchanged.
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 if matrix[j][i] != matrix[i][j].involute():
                     raise SchemaError(
                         "matrix is not hermitian at (%d, %d)" % (i, j))

@@ -240,7 +240,7 @@ class ManifoldDescriptor:
                 raise DescriptorError(
                     "ks may be omitted only for type III forms with"
                     " unknown Arf invariant")
-        elif isinstance(ks, bool) or ks not in (0, 1):
+        elif type(ks) is not int or ks not in (0, 1):
             raise DescriptorError("ks must be 0 or 1")
         elif verdict.status == "forced" and ks != verdict.value:
             raise InconsistentDescriptorError(
@@ -282,7 +282,7 @@ class ManifoldDescriptor:
         except ValueError:
             raise SchemaError("w2 must be 'I', 'II' or 'III'") from None
         ks = doc["ks"]
-        if ks is not None and (isinstance(ks, bool) or ks not in (0, 1)):
+        if ks is not None and (type(ks) is not int or ks not in (0, 1)):
             raise SchemaError("ks must be 0, 1 or null")
         return cls(k, HermitianForm.from_json(doc["form"]), w2, ks)
 

@@ -362,6 +362,66 @@ def test_k_beyond_limit_exits_2(capsys, argv):
     assert len(captured.err.splitlines()) == 1
 
 
+
+LONGEST_WORD = "a" * cli.MAX_WORD_LENGTH
+LONGEST_EXPR = "a" * (cli.MAX_EXPR_LENGTH - 1) + "b"
+
+
+@pytest.mark.parametrize("argv, num, pow", [
+    (["group", "--word", LONGEST_WORD, "--times", LONGEST_WORD[1:] + "b"],
+     799, 0),
+    (["group", "--word", LONGEST_WORD.upper(),
+      "--times", LONGEST_WORD[1:].upper() + "b"], 0, 799),
+    (["ring", "--expr", LONGEST_EXPR], 799, 0),
+    (["ring", "--expr", LONGEST_EXPR.replace("a", "A")], 0, 799),
+], ids=["group-a", "group-A", "ring-a", "ring-A"])
+@pytest.mark.parametrize("k", [bsgroup.MAX_JSON_K, -bsgroup.MAX_JSON_K])
+def test_longest_accepted_word_prints(capsys, argv, num, pow, k):
+    """At |k| = the limit, a^799 b gives num = k^799 and A^799 b gives
+    |k|^799 in the display: 3996 digits each, the most any accepted
+    word reaches."""
+    assert len(argv[2]) + len(argv[4] if len(argv) > 4 else "") == 800
+    doc = run_json(capsys, argv[0], "--k", str(k), *argv[1:])
+    elt = doc["element"]
+    if argv[0] == "ring":
+        [term] = elt["terms"]
+        assert term["coeff"] == "1"
+        elt = term["elt"]
+    assert elt["pow"] == pow
+    if pow:
+        assert elt["num"] == str(k // abs(k))  # the sign of k^-799
+        assert str(abs(k) ** pow) in doc["display"]
+    else:
+        assert elt["num"] == str(k ** num)
+    assert len(str(abs(k) ** 799)) == 3996
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("group", "--k", "10", "--word", "a" * 5000 + "b"),
+     cli.MAX_WORD_LENGTH),
+    (("group", "--k", "2", "--word", LONGEST_WORD + "a"),
+     cli.MAX_WORD_LENGTH),
+    (("group", "--k", "2", "--word", "a", "--times", LONGEST_WORD + "b"),
+     cli.MAX_WORD_LENGTH),
+    (("group", "--k", str(bsgroup.MAX_JSON_K + 1), "--word", "a"),
+     bsgroup.MAX_JSON_K),
+    (("group", "--k", str(-bsgroup.MAX_JSON_K - 1), "--word", "a"),
+     bsgroup.MAX_JSON_K),
+    (("ring", "--k", "2", "--expr", LONGEST_EXPR + "a"),
+     cli.MAX_EXPR_LENGTH),
+    (("ring", "--k", str(bsgroup.MAX_JSON_K + 1), "--expr", "1 + a"),
+     bsgroup.MAX_JSON_K),
+], ids=["group-10^5000", "group-word", "group-times", "group-k",
+        "group-minus-k", "ring-expr", "ring-k"])
+def test_word_beyond_limit_exits_2(capsys, argv, limit):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert str(limit) in line
+
+
 REPEATED_ARGV = [
     ["nosuch"],
     ["--help"],

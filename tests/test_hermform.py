@@ -375,6 +375,28 @@ def test_form_command_rejects_tampered_transport_certificate(capsys,
     assert capsys.readouterr().out == ""
 
 
+
+@pytest.mark.parametrize("cells, where", [
+    ([(1, 3)], "(1, 3)"),            # upper triangle only
+    ([(3, 1)], "(1, 3)"),            # lower triangle only
+    ([(1, 3), (2, 0)], "(0, 2)"),    # first failure in row-major order
+])
+def test_form_command_rejects_one_sided_hermitian_break(capsys, tmp_path,
+                                                        cells, where):
+    k = 3
+    doc = random_certificated(random.Random(84), k, r=2).to_json()
+    for i, j in cells:
+        cell = GroupRingElt.from_json(doc["matrix"][i][j])
+        doc["matrix"][i][j] = (cell + GroupRingElt.from_word(k, "b")).to_json()
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["form", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: matrix is not hermitian at %s\n" % where
+
+
 class _KernelCalls:
     """Wraps _kernel.ring_addmul and records its operands."""
 

@@ -2,20 +2,30 @@
 
 BSElement.from_json, GroupRingElt.from_json and hermform.matrix_from_json
 either return a value or raise SchemaError on any document, never another
-exception; valid values survive to_json -> json.dumps -> from_json with
-identical bytes.  The malformed documents are built from valid ones with
-fields swapped for junk, so they reach every check of a reader, not only
-the first.
+exception; HermitianForm.from_json and ManifoldDescriptor.from_json raise
+only BsfourError (a certificate that fails, an inconsistent descriptor).
+Valid values survive to_json -> json.dumps -> from_json with identical
+bytes.  The malformed documents are built from valid ones with fields
+swapped for junk, so they reach every check of a reader, not only the
+first; for forms and descriptors, whose checks need a hermitian matrix
+and a certificate to get past, up to two nodes anywhere in a valid
+document are replaced or deleted.
 """
 
 import json
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from bsfour import bsgroup, hermform
+from bsfour import bsgroup, hermform, intlinalg
 from bsfour.bsgroup import MAX_JSON_EXPONENT, MAX_JSON_K, BSElement
-from bsfour.errors import SchemaError
+from bsfour.errors import BsfourError, SchemaError
 from bsfour.groupring import GroupRingElt
+from bsfour.hermform import ARF_ASSERTED, ArfTag, HermitianForm
+from bsfour.invariants import ManifoldDescriptor, realize
+
+from support import random_unit_triangular
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 database=None)
@@ -81,10 +91,10 @@ def matrix_docs(k):
     return document({"k": field(st.just(k)), "matrix": field(rows)})
 
 
-def reads_or_rejects(read, doc):
+def reads_or_rejects(read, doc, errors=SchemaError):
     try:
         return read(doc)
-    except SchemaError:
+    except errors:
         return None
 
 
@@ -165,3 +175,127 @@ def test_matrix_round_trip_is_byte_identical(k_rows):
                       hermform.matrix_from_json,
                       lambda km: hermform.matrix_to_json(km[1], km[0])) == (
         k, tuple(tuple(row) for row in rows))
+
+
+# Certificated forms of rank 1 to 8, moved by a random unit triangular
+# transport with one-term entries, with the Arf tag kept, dropped or
+# asserted.
+FORM_BASES = (
+    lambda k: hermform.hyperbolic(k, 1),
+    lambda k: hermform.even_reference_form(k, 2),
+    lambda k: hermform.from_integer_matrix(k, [[1]]),
+    lambda k: hermform.from_integer_matrix(k, [[1, 0], [0, -1]]),
+    lambda k: hermform.from_integer_matrix(k, intlinalg.e8_matrix()),
+)
+arf_tags = st.one_of(st.just("keep"), st.none(),
+                     st.builds(ArfTag, st.just(ARF_ASSERTED),
+                               st.integers(0, 1)))
+
+
+def forms(k):
+    def build(base, seed, arf):
+        f = base(k)
+        U = random_unit_triangular(random.Random(seed), k, f.rank,
+                                   max_terms=1)
+        g = hermform.congruence(f, U)
+        return HermitianForm(k, g.matrix, g.inverse,
+                             f.arf if arf == "keep" else arf)
+    return st.builds(build, st.sampled_from(FORM_BASES),
+                     st.integers(0, 2 ** 16), arf_tags)
+
+
+def descriptor_docs(k):
+    """Mostly a descriptor that realize lists for the form, else the
+    form with any w2-type and KS value, consistent or not."""
+    def decorate(f):
+        return mostly(
+            st.sampled_from(realize(k, f)).map(ManifoldDescriptor.to_json),
+            st.builds(lambda w2, ks: {"k": k, "form": f.to_json(),
+                                      "w2": w2, "ks": ks},
+                      st.sampled_from(["I", "II", "III"]),
+                      st.sampled_from([0, 1, None])))
+    return forms(k).flatmap(decorate)
+
+
+DELETE = object()
+# Replacements: junk, integers and exponents near the limits, and the
+# values that descriptor and Arf fields take, so that a swap can also
+# turn a valid document into another valid or inconsistent one.
+replacements = st.one_of(
+    junk, int_texts, exponents, st.just(DELETE),
+    st.sampled_from(["I", "II", "III", 0, 1, None, 1.0, True,
+                     hermform.ARF_EXTENDED, ARF_ASSERTED]))
+
+
+def nodes(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from nodes(value, path + (i,))
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the node at path set to value, or removed for
+    DELETE."""
+    if not path:
+        return {} if value is DELETE else value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def tampered(draw, docs):
+    """A valid document with up to two nodes replaced or deleted, half
+    of them at depth at most 2 (the fields of a descriptor, a form and
+    its Arf tag), which a uniform draw over all nodes would rarely hit."""
+    doc = draw(docs)
+    for _ in range(draw(st.integers(0, 2))):
+        paths = list(nodes(doc))
+        if draw(st.booleans()):
+            paths = [path for path in paths if len(path) <= 2]
+        path = draw(st.sampled_from(paths))
+        doc = replaced(doc, path, draw(replacements))
+    return doc
+
+
+@FUZZ
+@given(ks.flatmap(lambda k: tampered(forms(k).map(HermitianForm.to_json))))
+def test_form_reader_raises_only_package_errors(doc):
+    f = reads_or_rejects(HermitianForm.from_json, doc, BsfourError)
+    if f is not None:
+        round_trip(f.to_json(), HermitianForm.from_json,
+                   HermitianForm.to_json)
+
+
+@FUZZ
+@given(ks.flatmap(lambda k: tampered(descriptor_docs(k))))
+def test_descriptor_reader_raises_only_package_errors(doc):
+    d = reads_or_rejects(ManifoldDescriptor.from_json, doc, BsfourError)
+    if d is not None:
+        round_trip(d.to_json(), ManifoldDescriptor.from_json,
+                   ManifoldDescriptor.to_json)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+def test_readers_reject_non_integer_ks_and_arf(value):
+    # 1.0 and True compare equal to 1 and used to be read, and written
+    # back, as they came
+    f = hermform.from_integer_matrix(3, [[1]])
+    doc = realize(3, f)[1].to_json()
+    doc["ks"] = value
+    with pytest.raises(SchemaError):
+        ManifoldDescriptor.from_json(doc)
+    doc = hermform.hyperbolic(3, 1).to_json()
+    doc["arf"] = {"mode": ARF_ASSERTED, "value": value}
+    with pytest.raises(SchemaError):
+        HermitianForm.from_json(doc)

@@ -1,0 +1,113 @@
+"""The ring convolution of the kernel against the affine law in Fractions.
+
+_kernel.ring_addmul(out, p, q, k) adds p * q to out in place, with the
+group law of B(k) written out inside its loop.  The oracle maps every
+term to (x, t) through support.x_fraction and multiplies with
+(x1, t1) (x2, t2) = (x1 + k^t1 x2, t1 + t2) in exact rationals; for
+k = 0 the generator b dies and x is 0.
+"""
+
+import sys
+from collections import Counter
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from bsfour import _kernel, bsgroup
+
+from support import x_fraction
+
+KS = (0, 1, -1, 2, -2, 3, -3, 6, -10)
+
+
+def elements(k):
+    """Reduced elements with |t| <= 8 and pow <= 6, the numerator often
+    a multiple of |k| before reduction."""
+    kq = abs(k)
+    return st.builds(
+        lambda m, j, pw, t: tuple(bsgroup.element(m * kq ** j, pw, t, k)),
+        st.integers(-20, 20), st.integers(0, 2), st.integers(0, 6),
+        st.integers(-8, 8))
+
+
+def ring_terms(k, max_size):
+    return st.dictionaries(elements(k),
+                           st.integers(-3, 3).filter(bool),
+                           max_size=max_size)
+
+
+@st.composite
+def operands(draw):
+    """(out, p, q, k); out holds its own terms and, for some pairs of
+    terms of p and q, the negated product, so that the sum cancels."""
+    k = draw(st.sampled_from(KS))
+    p = draw(ring_terms(k, 5))
+    q = draw(ring_terms(k, 5))
+    out = draw(ring_terms(k, 3))
+    for g1, c1 in p.items():
+        for g2, c2 in q.items():
+            if draw(st.integers(0, 3)) == 0:
+                out[tuple(bsgroup.multiply(g1, g2, k))] = -c1 * c2
+    return out, p, q, k
+
+
+def affine(terms, k):
+    return Counter({(x_fraction(g, k), g[2]): c for g, c in terms.items()})
+
+
+def affine_product(p, q, k):
+    total = Counter()
+    for (x1, t1), c1 in affine(p, k).items():
+        for (x2, t2), c2 in affine(q, k).items():
+            x = x1 + Fraction(k) ** t1 * x2 if k else Fraction(0)
+            total[(x, t1 + t2)] += c1 * c2
+    return total
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(operands())
+def test_ring_addmul_matches_affine_law(case):
+    out, p, q, k = case
+    want = affine(out, k)
+    want.update(affine_product(p, q, k))
+    want = {key: c for key, c in want.items() if c}
+    acc = dict(out)
+    assert _kernel.ring_addmul(acc, p, q, k) is acc
+    assert affine(acc, k) == want
+    assert len(acc) == len(want)
+    for g, c in acc.items():
+        assert c != 0
+        assert _kernel.bs_reduce(*g, k) == g
+
+
+def lines_run(func, *args):
+    """Lines executed inside func's own frame during func(*args)."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if frame.f_code is not func.__code__:
+            return None
+        if event == "line":
+            count += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        func(*args)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_unit_k_products_cost_no_work_per_exponent():
+    # For |k| <= 1 the twist k^t1 is a sign: a product of two monomials
+    # runs the same few lines for every t1, where dividing by |k| = 1
+    # once per unit of t1 would give the same result |t1| times slower.
+    t = bsgroup.MAX_JSON_EXPONENT
+    for k in (0, 1, -1):
+        counts = {lines_run(_kernel.ring_addmul, {}, {g1: 1}, {g2: 1}, k)
+                  for g1 in (bsgroup.element(1, 0, s, k) for s in (-t, t))
+                  for g2 in (bsgroup.element(1, 0, 0, k),
+                             bsgroup.element(-1, 0, -t, k))}
+        assert max(counts) < 30, (k, counts)
