@@ -13,10 +13,11 @@ group; all are handled by the same reduction.
 Words are strings over a, A, b, B with A = a^-1 and B = b^-1.
 """
 
+import sys
 from typing import NamedTuple
 
 from . import _kernel
-from .errors import SchemaError, WordSyntaxError
+from .errors import BsfourError, SchemaError, WordSyntaxError
 
 # Largest |t|, pow and |k| of a group element read from JSON.  A product
 # of two elements builds powers of |k| as large as |k|^(|t| + pow).  On a
@@ -39,7 +40,14 @@ class BSElement(NamedTuple):
     t: int
 
     def to_json(self):
-        return {"num": str(self.num), "pow": self.pow, "t": str(self.t)}
+        try:
+            num = str(self.num)
+        except ValueError:  # str() and int() share the digit limit
+            raise BsfourError(
+                "a group element of the result has a num of more than %d"
+                " digits, the most the JSON readers accept"
+                % sys.get_int_max_str_digits()) from None
+        return {"num": num, "pow": self.pow, "t": str(self.t)}
 
     @classmethod
     def from_json(cls, doc, k):

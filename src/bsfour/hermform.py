@@ -66,14 +66,6 @@ class ArfTag:
         return cls(doc["mode"], doc["value"])
 
 
-def _zero(k):
-    return GroupRingElt.zero(k)
-
-
-def _one(k):
-    return GroupRingElt.one(k)
-
-
 def _freeze(rows):
     return tuple(tuple(row) for row in rows)
 
@@ -276,10 +268,10 @@ def augment_form(f):
 def hyperbolic(k, r):
     """Orthogonal sum of r hyperbolic planes (0 1; 1 0); self-inverse."""
     n = 2 * r
-    rows = [[_zero(k)] * n for _ in range(n)]
+    rows = [[GroupRingElt.zero(k)] * n for _ in range(n)]
     for i in range(r):
-        rows[2 * i][2 * i + 1] = _one(k)
-        rows[2 * i + 1][2 * i] = _one(k)
+        rows[2 * i][2 * i + 1] = GroupRingElt.one(k)
+        rows[2 * i + 1][2 * i] = GroupRingElt.one(k)
     M = _freeze(rows)
     return HermitianForm(k, M, inverse=M,
                          arf=ArfTag(ARF_EXTENDED, 0))
@@ -289,11 +281,11 @@ def from_integer_matrix(k, M):
     """Embed a symmetric integer matrix as constants.  Unimodular
     matrices get their integer inverse as certificate; integer forms
     carry the extended-from-Z arf tag."""
-    rows = [[_one(k) * int(x) for x in row] for row in M]
+    rows = [[GroupRingElt.one(k) * int(x) for x in row] for row in M]
     inv = intlinalg.unimodular_inverse(M)
     cert = None
     if inv is not None:
-        cert = [[_one(k) * x for x in row] for row in inv]
+        cert = [[GroupRingElt.one(k) * x for x in row] for row in inv]
     return HermitianForm(k, rows, inverse=cert, arf=ArfTag(ARF_EXTENDED, 0))
 
 
@@ -302,7 +294,7 @@ def orthogonal_sum(f, g):
         raise GroupMismatchError("orthogonal sum across different k")
     k = f.k
     n, m = f.rank, g.rank
-    z = _zero(k)
+    z = GroupRingElt.zero(k)
 
     def block(A, B):
         rows = [list(row) + [z] * m for row in A]
@@ -339,8 +331,8 @@ def invert_matrix(mat, k):
     if n == 0:
         return ()
     B = [list(row) for row in mat]
-    C = [[_one(k) if i == j else _zero(k) for j in range(n)]
-         for i in range(n)]
+    C = [[GroupRingElt.one(k) if i == j else GroupRingElt.zero(k)
+          for j in range(n)] for i in range(n)]
     perm = list(range(n))
     for i in range(n):
         found = None
@@ -416,8 +408,8 @@ def unit_triangular_inverse(M, k):
             raise ValueError("matrix is not unit triangular")
         return _star(unit_triangular_inverse(_star(M), k))
     n = len(M)
-    X = [[_one(k) if i == j else _zero(k) for j in range(n)]
-         for i in range(n)]
+    X = [[GroupRingElt.one(k) if i == j else GroupRingElt.zero(k)
+          for j in range(n)] for i in range(n)]
     for j in range(n):
         for i in range(j - 1, -1, -1):
             acc = {}
@@ -486,7 +478,7 @@ def verify_isometry(f, g, U):
         raise GroupMismatchError("isometry across different k")
     U = _freeze(U)
     n = f.rank
-    if g.rank != n or len(U) != n or any(len(r) != n for r in U):
+    if g.rank != n or not _is_square(U, n):
         raise CertificateError("isometry certificate has wrong shape")
     _check_entries(f.k, U, "certificate")
     if _invert_any(U, f.k) is None:

@@ -2,16 +2,15 @@
 finitely generated abelian groups, homology of short complexes, and
 signatures of symmetric matrices.
 
-The Smith form is the one integer elimination: homology over Z and Z/p,
-unimodularity and integer inverses are all read off it.  Everything is
-arbitrary-precision; only `signature` leaves the integers, for exact
-rational congruence diagonalization, never floating point.  Matrices
-are plain lists of rows.
+The Smith form is the elimination for homology over Z and Z/p,
+unimodularity and integer inverses; `signature` has its own
+fraction-free congruence elimination.  Everything stays in
+arbitrary-precision integers, never rationals or floating point.
+Matrices are plain lists of rows.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ChainComplexError, SchemaError
 
@@ -136,9 +135,8 @@ def unimodular_inverse(A):
 
 
 def signature(S):
-    """Signature of a symmetric matrix, by exact congruence
-    diagonalization.  A pair of zero-diagonal rows coupled off-diagonal
-    is a hyperbolic plane and contributes nothing."""
+    """Signature of a symmetric integer matrix, by fraction-free
+    (Bareiss) congruence elimination in the integers."""
     n = len(S)
     for i, row in enumerate(S):
         if len(row) != n:
@@ -146,40 +144,39 @@ def signature(S):
         for j in range(i):
             if row[j] != S[j][i]:
                 raise ValueError("symmetric matrix required")
-    M = [[Fraction(x) for x in row] for row in S]
+    # Bareiss: after pivots P, with prev the last pivot (1 at first),
+    # each active entry M[r][c] is the minor det S[P+{r}, P+{c}] of the
+    # not-yet-pivoted matrix S and prev is det S[P, P], so the division
+    # is exact and the true Schur pivot is d / prev: +1 when d and prev
+    # have the same sign.  With a zero active diagonal and M[i][j] = c,
+    # adding row and column j to row and column i is a unimodular
+    # congruence that makes M[i][i] = 2c.  The minor is linear in row r
+    # and in column c of S, so this is the same add applied to S; it
+    # leaves det S[P, P] alone (i and j are not in P), and the division
+    # stays exact.  An all-zero active block contributes 0.
+    M = [list(row) for row in S]
     act = list(range(n))
-    sig = 0
+    sig, prev = 0, 1
     while act:
-        piv = next((i for i in act if M[i][i]), None)
-        if piv is not None:
-            d = M[piv][piv]
-            sig += 1 if d > 0 else -1
-            rest = [r for r in act if r != piv]
-            for r in rest:
-                f = M[r][piv] / d
-                if f:
-                    for c in rest:
-                        M[r][c] -= f * M[piv][c]
-            act = rest
-            continue
-        pair = next(((i, j) for i in act for j in act if i < j and M[i][j]),
-                    None)
-        if pair is None:
-            break
-        i, j = pair
-        c = M[i][j]
-        rest = [r for r in act if r != i and r != j]
-        alpha = {r: -M[r][j] / c for r in rest}
-        beta = {r: -M[r][i] / c for r in rest}
-        old = {r: (M[r][i], M[r][j]) for r in rest}
-        rows = {r: dict((s, M[r][s]) for s in rest) for r in rest}
-        for r in rest:
-            for s in rest:
-                M[r][s] = (rows[r][s]
-                           + alpha[r] * M[i][s] + beta[r] * M[j][s]
-                           + alpha[s] * old[r][0] + beta[s] * old[r][1]
-                           + (alpha[r] * beta[s] + beta[r] * alpha[s]) * c)
-        act = rest
+        p = next((i for i in act if M[i][i]), None)
+        if p is None:
+            p, j = next(((i, j) for i in act for j in act if M[i][j]),
+                        (None, None))
+            if p is None:
+                break
+            for r in act:
+                M[r][p] += M[r][j]
+            for c in act:
+                M[p][c] += M[j][c]
+        act.remove(p)
+        Mp, d = M[p], M[p][p]
+        sig += 1 if (d > 0) == (prev > 0) else -1
+        for r in act:
+            Mr = M[r]
+            f = Mr[p]
+            for c in act:
+                Mr[c] = (d * Mr[c] - f * Mp[c]) // prev
+        prev = d
     return sig
 
 

@@ -370,14 +370,12 @@ def realize(k, form):
         return [ManifoldDescriptor(k, form, W2Type.I, 0),
                 ManifoldDescriptor(k, form, W2Type.I, 1)]
     sign = intlinalg.signature(hermform.augment_form(form))
-    if sign % 8:
-        raise InconsistentDescriptorError(
-            "even certificated forms have signature divisible by 8")
-    ks2 = (sign // 8) % 2
-    out = [ManifoldDescriptor(k, form, W2Type.II, ks2)]
-    if k % 2:
-        arf = form.arf.value if form.arf is not None else None
-        ks3 = None if arf is None else (sign // 8 + arf) % 2
-        out.append(ManifoldDescriptor(k, form, W2Type.III, ks3))
-    return out
+    arf = form.arf.value if form.arf is not None else None
+    # An even form with an inverse augments to an even unimodular
+    # lattice, so 8 divides sign; were it not, ManifoldDescriptor would
+    # raise the inconsistent verdict of ks_constraint before it reads ks.
+    types = (W2Type.II, W2Type.III) if k % 2 else (W2Type.II,)
+    return [ManifoldDescriptor(k, form, w2,
+                               ks_constraint(w2, sign, arf).value)
+            for w2 in types]
 

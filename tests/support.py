@@ -65,6 +65,57 @@ def random_unimodular(rng, n):
     return T
 
 
+def fraction_signature(S):
+    """Signature of a symmetric matrix, by exact congruence
+    diagonalization.  A pair of zero-diagonal rows coupled off-diagonal
+    is a hyperbolic plane and contributes nothing.
+
+    The rational elimination intlinalg.signature used before it became
+    integer-only, kept as its oracle."""
+    n = len(S)
+    for i, row in enumerate(S):
+        if len(row) != n:
+            raise ValueError("square matrix required")
+        for j in range(i):
+            if row[j] != S[j][i]:
+                raise ValueError("symmetric matrix required")
+    M = [[Fraction(x) for x in row] for row in S]
+    act = list(range(n))
+    sig = 0
+    while act:
+        piv = next((i for i in act if M[i][i]), None)
+        if piv is not None:
+            d = M[piv][piv]
+            sig += 1 if d > 0 else -1
+            rest = [r for r in act if r != piv]
+            for r in rest:
+                f = M[r][piv] / d
+                if f:
+                    for c in rest:
+                        M[r][c] -= f * M[piv][c]
+            act = rest
+            continue
+        pair = next(((i, j) for i in act for j in act if i < j and M[i][j]),
+                    None)
+        if pair is None:
+            break
+        i, j = pair
+        c = M[i][j]
+        rest = [r for r in act if r != i and r != j]
+        alpha = {r: -M[r][j] / c for r in rest}
+        beta = {r: -M[r][i] / c for r in rest}
+        old = {r: (M[r][i], M[r][j]) for r in rest}
+        rows = {r: dict((s, M[r][s]) for s in rest) for r in rest}
+        for r in rest:
+            for s in rest:
+                M[r][s] = (rows[r][s]
+                           + alpha[r] * M[i][s] + beta[r] * M[j][s]
+                           + alpha[s] * old[r][0] + beta[s] * old[r][1]
+                           + (alpha[r] * beta[s] + beta[r] * alpha[s]) * c)
+        act = rest
+    return sig
+
+
 def geometric_series(k):
     """(b^k - 1)/(b - 1) as an element of the free ring.
 

@@ -502,6 +502,24 @@ def test_element_beyond_limit_exits_2_fast(capsys, tmp_path, doc, field):
     assert seconds < 1.0
 
 
+def test_result_beyond_digit_limit_exits_2(capsys, tmp_path):
+    """[[1, u], [u*, u*u + 1]] with u = a^900 + b at k = 10^5 is read,
+    and --try-invert finds an inverse with the term b^(-k^900) a^900,
+    whose num has 4501 digits: more than the 4300 that str() writes and
+    the readers accept.  The error names that limit, not Python's
+    remedy."""
+    k = 10 ** 5
+    u = GroupRingElt.from_word(k, "a" * 900) + GroupRingElt.from_word(k, "b")
+    one = GroupRingElt.one(k)
+    f = HermitianForm(k, [[one, u], [u.involute(), u.involute() * u + one]])
+    path = write(tmp_path / "form.json", f.to_json())
+    code = cli.main(["form", "--try-invert", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    [line] = captured.err.splitlines()
+    assert "4300" in line and "set_int_max_str_digits" not in line
+
+
 @pytest.mark.parametrize("argv, code", [
     (["form"], 2),
     (["form", "--try-invert"], 0),

@@ -2,13 +2,18 @@
 
 Oracles: determinantal divisors (the product of the first i invariant
 factors is the gcd of all i x i minors) computed with an independent
-Fraction-based determinant, and Sylvester's minor criterion for
-definiteness of the signature examples.
+Fraction-based determinant; for the signature, Sylvester's minor
+criterion for definiteness, the rational congruence diagonalization
+support.fraction_signature, and Sylvester's law of inertia on T^T D T
+with T unimodular and D diagonal.
 """
 
+import importlib
 import itertools
 import math
+import pathlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +22,7 @@ from bsfour import intlinalg
 from bsfour.errors import ChainComplexError
 from bsfour.intlinalg import AbelianGroup
 
-from support import random_unimodular
+from support import fraction_signature, random_unimodular
 
 
 def frac_det(A):
@@ -273,3 +278,100 @@ def test_signature_additivity_and_unimodular_inverse():
     for bad in ([[1, 2]], [[1], [2]], [[1, 0], [0]]):
         with pytest.raises(ValueError):
             intlinalg.unimodular_inverse(bad)
+
+
+def random_symmetric(rng, n, rank, lo=-3, hi=3):
+    """V^T D V with V of `rank` random rows: rank at most `rank`."""
+    V = random_matrix(rng, rank, n, lo, hi)
+    D = [rng.choice((-2, -1, 1, 2)) for _ in range(rank)]
+    return [[sum(V[q][i] * D[q] * V[q][j] for q in range(rank))
+             for j in range(n)] for i in range(n)]
+
+
+def block_sum(A, B):
+    n, m = len(A), len(B)
+    return [list(r) + [0] * m for r in A] + [[0] * n + list(r) for r in B]
+
+
+def permuted(S, perm):
+    return [[S[i][j] for j in perm] for i in perm]
+
+
+def test_signature_matches_fraction_oracle():
+    """The integer elimination against the rational one it replaced, on
+    dense, rank-deficient and zero-diagonal matrices, and on A + Z with
+    |det A| >= 2 and Z zero on the diagonal: A is pivoted first, so the
+    row and column add on Z comes after pivots and its divisions are by
+    prev = det A, not 1."""
+    rng = random.Random(75)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        S = random_symmetric(rng, n, rng.randint(0, n))
+        cases.append(S)
+        cases.append([[0 if i == j else x for j, x in enumerate(row)]
+                      for i, row in enumerate(S)])
+        D = random_matrix(rng, n, n, -9, 9)
+        cases.append([[D[min(i, j)][max(i, j)] for j in range(n)]
+                      for i in range(n)])
+    for _ in range(200):
+        m = rng.randint(1, 3)
+        A = random_symmetric(rng, m, m, -4, 4)
+        if frac_det(A) in (0, 1, -1):
+            continue
+        n = rng.randint(2, 5)
+        Z = random_symmetric(rng, n, rng.randint(1, n))
+        Z = [[0 if i == j else x for j, x in enumerate(row)]
+             for i, row in enumerate(Z)]
+        perm = list(range(m, m + n))
+        rng.shuffle(perm)
+        cases.append(permuted(block_sum(A, Z), list(range(m)) + perm))
+    assert len(cases) > 700
+    outcomes = set()
+    for S in cases:
+        want = fraction_signature(S)
+        assert intlinalg.signature(S) == want, S
+        outcomes.add(want)
+    assert outcomes >= set(range(-5, 6))
+
+
+def test_signature_of_certify_forms_matches_oracle(monkeypatch, tmp_path):
+    """Every augmented form the benchmark's certify round takes the
+    signature of, one for each form of each CERTIFY_SHAPES shape, agrees
+    with the oracle."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve()
+                                    .parents[1] / "layerbench"))
+    workloads = importlib.import_module("workloads")
+    seen = []
+    real = intlinalg.signature
+
+    def recorded(S):
+        sig = real(S)
+        seen.append((len(S), sig, fraction_signature(S)))
+        return sig
+
+    monkeypatch.setattr(intlinalg, "signature", recorded)
+    for op in workloads.setup_certify(1, str(tmp_path)):
+        op.check(op.run())
+    assert all(sig == want for _, sig, want in seen)
+    assert {n for n, _, _ in seen} == {
+        2 * r + 8 * s for r, s, _ in workloads.CERTIFY_SHAPES}
+    assert {sig for _, sig, _ in seen} == {0, 8}
+
+
+def test_signature_dense_rank_120_within_time_bound():
+    """S = T^T D T with T unimodular has the signature of D (Sylvester's
+    law of inertia).  The exact divisions keep every entry a minor of
+    S, so rank 120 takes 0.25 s on a 2-core x86 host; the bound is
+    2 s."""
+    rng = random.Random(120)
+    n = 120
+    T = random_unimodular(rng, n)
+    D = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
+    S = [[sum(T[q][i] * D[q] * T[q][j] for q in range(n)) for j in range(n)]
+         for i in range(n)]
+    start = time.perf_counter()
+    sig = intlinalg.signature(S)
+    elapsed = time.perf_counter() - start
+    assert sig == sum(1 if d > 0 else -1 for d in D)
+    assert elapsed < 2.0, elapsed
