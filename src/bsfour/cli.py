@@ -35,6 +35,10 @@ EXIT_USAGE = 64
 # (homology, bordism, each end of report --k-range).  The complex has
 # O(|k|) terms; homology --k 100000 takes about 0.6 s and 50 MB.
 MAX_CHAIN_K = 100000
+# report builds one complex per k of its range, so a row costs O(|k|)
+# and the range is bounded by the sum of |k| over it.  At the limit,
+# 99990..100000 and -100000..-99990 each took about 3 s and 46 MB.
+MAX_REPORT_K_SUM = 1100000
 # fox prints the free derivatives, O(k^2) characters of words; at the
 # limit it takes about 1 s and 55 MB.
 MAX_FOX_K = 3000
@@ -224,6 +228,10 @@ def _cmd_report(args):
     lo, hi = _parse_range(args.k_range)
     for k in (lo, hi):
         _check_k(k, MAX_CHAIN_K, "report")
+    total = sum(map(abs, range(lo, hi + 1)))
+    if total > MAX_REPORT_K_SUM:
+        raise SchemaError("report accepts a k range whose sum of |k| is at"
+                          " most %d, got %d" % (MAX_REPORT_K_SUM, total))
     return {"k_range": args.k_range,
             "rows": [_report_row(k) for k in range(lo, hi + 1)]}
 

@@ -6,14 +6,16 @@ vectors by s(x, y) = x A involute(y)^T, linear in x.
 
 Invertibility over the group ring is never decided heuristically:
 either a certificate C with A C = C A = 1 is produced and checked by
-exact multiplication, or the answer is unknown.  For a hermitian A the
-one product A C = 1 is checked: it implies C A = 1 (the proof is at
-_is_hermitian_inverse).  A certificate that congruence transports is
-not multiplied out again; it is derived from factors that were checked,
-and the proof is at congruence.  Forms are read-only after
-construction, so a certificate once checked stays attached to its
-matrix.  Parity reads the
-identity coefficients of the diagonal; cross terms contribute
+exact multiplication, or the answer is unknown.  Every inverse comes
+from invert_matrix, Gauss-Jordan elimination with trivial-unit pivots
++-g: sound, not complete, and never failing on a unit triangular
+matrix.  A product is compared with 1 entry by entry, as it is summed.
+For a hermitian A the one product A C = 1 is checked: it implies
+C A = 1 (the proof is at _is_hermitian_inverse).  A certificate that
+congruence transports is derived from checked factors, not multiplied
+out again (the proof is at congruence).  Forms are read-only, so a
+certificate once checked stays attached to its matrix.  Parity reads
+the identity coefficients of the diagonal; cross terms contribute
 lambda + conjugate(lambda), which has even identity coefficient, so
 the diagonal rule agrees with evaluation parity.  The augmented form
 is the integer Gram matrix obtained by applying the augmentation
@@ -23,9 +25,11 @@ entrywise; its signature is the signature invariant of the form.
 from dataclasses import dataclass
 from enum import Enum
 
-from . import _kernel, bsgroup, intlinalg
+from . import _kernel, intlinalg
 from .errors import CertificateError, GroupMismatchError, SchemaError
 from .groupring import GroupRingElt
+
+_ONE = {(0, 0, 0): 1}  # the terms of 1, to compare with; never handed out
 
 ARF_EXTENDED = "extended-from-Z"
 ARF_ASSERTED = "asserted"
@@ -70,25 +74,26 @@ def _freeze(rows):
     return tuple(tuple(row) for row in rows)
 
 
+def _row_times(row, B, k):
+    """The entries of the product of a row vector and B, as term
+    dicts, one at a time."""
+    # a zero entry contributes nothing: the kernel is called only when
+    # both operands have terms
+    live = [(Bp, x.terms) for Bp, x in zip(B, row) if x.terms]
+    for j in range(len(B[0])):
+        acc = {}
+        for Bp, a in live:
+            b = Bp[j].terms
+            if b:
+                _kernel.ring_addmul(acc, a, b, k)
+        yield acc
+
+
 def mat_mul(A, B, k):
     if not A or not B:
         return ()
-    w = len(B[0])
-    out = []
-    for row in A:
-        # a zero entry contributes nothing: the kernel is called only
-        # when both operands have terms
-        live = [(Bp, x.terms) for Bp, x in zip(B, row) if x.terms]
-        new = []
-        for j in range(w):
-            acc = {}
-            for Bp, a in live:
-                b = Bp[j].terms
-                if b:
-                    _kernel.ring_addmul(acc, a, b, k)
-            new.append(GroupRingElt._raw(k, acc))
-        out.append(tuple(new))
-    return tuple(out)
+    return tuple(tuple(GroupRingElt._raw(k, acc)
+                       for acc in _row_times(row, B, k)) for row in A)
 
 
 def mat_transpose(A):
@@ -97,17 +102,6 @@ def mat_transpose(A):
 
 def mat_involute(A):
     return tuple(tuple(p.involute() for p in row) for row in A)
-
-
-def mat_is_identity(A):
-    for i, row in enumerate(A):
-        for j, p in enumerate(row):
-            if i == j:
-                if p.terms != {(0, 0, 0): 1}:
-                    return False
-            elif p.terms:
-                return False
-    return True
 
 
 def _star(A):
@@ -119,12 +113,23 @@ def _is_square(C, n):
     return len(C) == n and all(len(r) == n for r in C)
 
 
+def _product_is_identity(A, C, k):
+    """True iff A C = 1, for A and C square of one size.  The product
+    is never held: each entry is compared as soon as it is summed, so a
+    wrong C fails at its first wrong entry."""
+    for i, row in enumerate(A):
+        for j, acc in enumerate(_row_times(row, C, k)):
+            if acc != (_ONE if i == j else {}):
+                return False
+    return True
+
+
 def _is_inverse(A, C, k):
     """True iff C is a two-sided inverse of the square matrix A: the
     shape first, then A C = 1, then C A = 1."""
     return (_is_square(C, len(A))
-            and mat_is_identity(mat_mul(A, C, k))
-            and mat_is_identity(mat_mul(C, A, k)))
+            and _product_is_identity(A, C, k)
+            and _product_is_identity(C, A, k))
 
 
 def _is_hermitian_inverse(A, C, k):
@@ -133,7 +138,7 @@ def _is_hermitian_inverse(A, C, k):
     # For A = A*, A C = 1 already gives C A = 1.  Star is an
     # anti-automorphism with 1* = 1, so applying it to A C = 1 gives
     # C* A = 1.  Then C* = C* (A C) = (C* A) C = C, and C A = C* A = 1.
-    return _is_square(C, len(A)) and mat_is_identity(mat_mul(A, C, k))
+    return _is_square(C, len(A)) and _product_is_identity(A, C, k)
 
 
 def _check_entries(k, rows, what):
@@ -312,59 +317,53 @@ def orthogonal_sum(f, g):
     return HermitianForm(k, block(f.matrix, g.matrix), cert, arf)
 
 
-def _is_trivial_unit(p):
-    if len(p.terms) != 1:
-        return False
-    return next(iter(p.terms.values())) in (1, -1)
-
-
-def _trivial_unit_inverse(p, k):
-    (g, c), = p.terms.items()
-    return GroupRingElt.monomial(k, bsgroup.invert(g, k), c)
-
-
 def invert_matrix(mat, k):
-    """Invert a square matrix over the group ring by Gaussian
+    """Invert a square matrix over the group ring by Gauss-Jordan
     elimination with trivial-unit pivots (+-g only).  Sound but not
-    complete: returns a verified inverse or None."""
+    complete: returns a verified two-sided inverse or None."""
+    # On a unit upper or lower triangular matrix the elimination never
+    # fails, and congruence relies on that to transport certificates.
+    # Rows already pivoted never change row i's entry at (i, i), so the
+    # pivot is always that entry, which is 1.  The step at a pivot p < i
+    # subtracts M[i][p] M[p][i] from it.  If the matrix is upper
+    # triangular, M[i][p] = 0: no step touches row i before its own.  If
+    # it is lower triangular, M[p][i] = 0: every row stays zero right of
+    # the diagonal, as the step at p adds row p only to rows below it.
     n = len(mat)
-    if n == 0:
-        return ()
-    B = [list(row) for row in mat]
-    C = [[GroupRingElt.one(k) if i == j else GroupRingElt.zero(k)
-          for j in range(n)] for i in range(n)]
+    # the augmented matrix (mat | 1), each entry a term dict of its own
+    # that an update adds into in place
+    M = [[dict(p.terms) for p in row] + [{(0, 0, 0): 1} if i == j else {}
+                                         for j in range(n)]
+         for i, row in enumerate(mat)]
     perm = list(range(n))
     for i in range(n):
-        found = None
-        for r in range(i, n):
-            for c in range(i, n):
-                if _is_trivial_unit(B[r][c]):
-                    found = (r, c)
-                    break
-            if found:
-                break
-        if found is None:
+        pivot = next(((r, c) for r in range(i, n) for c in range(i, n)
+                      if list(M[r][c].values()) in ([1], [-1])), None)
+        if pivot is None:
             return None
-        r, c = found
-        if r != i:
-            B[i], B[r] = B[r], B[i]
-            C[i], C[r] = C[r], C[i]
+        r, c = pivot
+        M[i], M[r] = M[r], M[i]
         if c != i:
-            for row in B:
+            for row in M:
                 row[i], row[c] = row[c], row[i]
             perm[i], perm[c] = perm[c], perm[i]
-        pinv = _trivial_unit_inverse(B[i][i], k)
-        B[i] = [pinv * x for x in B[i]]
-        C[i] = [pinv * x for x in C[i]]
-        for r2 in range(n):
-            if r2 != i and B[r2][i].terms:
-                f = B[r2][i]
-                B[r2] = [x - f * y for x, y in zip(B[r2], B[i])]
-                C[r2] = [x - f * y for x, y in zip(C[r2], C[i])]
-    inv = [None] * n
-    for q in range(n):
-        inv[perm[q]] = tuple(C[q])
-    inv = tuple(inv)
+        if M[i][i] != _ONE:
+            (g, s), = M[i][i].items()
+            pinv = {_kernel.bs_inv(g, k): s}
+            M[i] = [_kernel.ring_addmul({}, pinv, x, k) if x else x
+                    for x in M[i]]
+        for r, row in enumerate(M):
+            if r == i or not row[i]:
+                continue
+            neg = {g: -v for g, v in row[i].items()}
+            for j, y in enumerate(M[i]):
+                if y and j != i:
+                    _kernel.ring_addmul(row[j], neg, y, k)
+            row[i] = {}  # row[i] - row[i] M[i][i], as M[i][i] = 1
+    # swapping columns i and c of mat swaps rows i and c of its inverse
+    rows = dict(zip(perm, M))
+    inv = tuple(tuple(GroupRingElt._raw(k, t) for t in rows[q][n:])
+                for q in range(n))
     return inv if _is_inverse(mat, inv, k) else None
 
 
@@ -383,51 +382,6 @@ def verify_inverse(f, C):
     """True iff C is the inverse of the form matrix, checked by exact
     multiplication (one product: the matrix is hermitian)."""
     return _is_hermitian_inverse(f.matrix, _freeze(C), f.k)
-
-
-def _is_unit_triangular(M, upper):
-    n = len(M)
-    for i in range(n):
-        if M[i][i].terms != {(0, 0, 0): 1}:
-            return False
-        rng = range(i) if upper else range(i + 1, n)
-        for j in rng:
-            if M[i][j].terms:
-                return False
-    return True
-
-
-def unit_triangular_inverse(M, k):
-    """Back-substitution inverse of a unit upper or lower triangular
-    matrix.  A unit lower triangular N has N* unit upper triangular,
-    and since * is an anti-automorphism, (N*)^-1 = (N^-1)*; so N^-1 is
-    the star of the inverse of N*."""
-    M = _freeze(M)
-    if not _is_unit_triangular(M, upper=True):
-        if not _is_unit_triangular(M, upper=False):
-            raise ValueError("matrix is not unit triangular")
-        return _star(unit_triangular_inverse(_star(M), k))
-    n = len(M)
-    X = [[GroupRingElt.one(k) if i == j else GroupRingElt.zero(k)
-          for j in range(n)] for i in range(n)]
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            acc = {}
-            for p in range(i + 1, j + 1):
-                a, b = M[i][p].terms, X[p][j].terms
-                if a and b:
-                    _kernel.ring_addmul(acc, a, b, k)
-            X[i][j] = -GroupRingElt._raw(k, acc)
-    return _freeze(X)
-
-
-def _invert_any(M, k):
-    """A verified two-sided inverse of the square matrix M, or None."""
-    M = _freeze(M)
-    if _is_unit_triangular(M, True) or _is_unit_triangular(M, False):
-        X = unit_triangular_inverse(M, k)
-        return X if _is_inverse(M, X, k) else None
-    return invert_matrix(M, k)
 
 
 class _TransportedForm(HermitianForm):
@@ -458,14 +412,14 @@ def congruence(f, U):
     A2 = mat_mul(mat_mul(mat_transpose(U), f.matrix, k), ubar, k)
     cert = None
     if f.inverse is not None:
-        W = _invert_any(ubar, k)
+        W = invert_matrix(ubar, k)
         if W is not None:
             cert = mat_mul(mat_mul(W, f.inverse, k), _star(W), k)
     # The certificate C2 = W C W* of A2 = U^T A Ubar, with A = f.matrix
     # and C = f.inverse, is correct without multiplying A2 by C2:
     # A C = 1 because f is a HermitianForm (checked or derived when f
     # was built, and forms are read-only), and W Ubar = Ubar W = 1
-    # because _invert_any checked both products.  Since Ubar* = U^T,
+    # because invert_matrix checked both products.  Since Ubar* = U^T,
     #   A2 C2 = U^T A (Ubar W) C W* = U^T (A C) W* = U^T W* = (W Ubar)* = 1,
     # and A2 is hermitian, so C2 A2 = 1 as at _is_hermitian_inverse.
     return _TransportedForm(k, A2, cert, f.arf)
@@ -481,7 +435,7 @@ def verify_isometry(f, g, U):
     if g.rank != n or not _is_square(U, n):
         raise CertificateError("isometry certificate has wrong shape")
     _check_entries(f.k, U, "certificate")
-    if _invert_any(U, f.k) is None:
+    if invert_matrix(U, f.k) is None:
         raise CertificateError("isometry certificate is not invertible"
                                " by trivial-unit elimination")
     lhs = mat_mul(mat_mul(mat_transpose(U), g.matrix, f.k),
@@ -492,7 +446,7 @@ def verify_isometry(f, g, U):
 def isometry_inverse(U, k):
     """The certificate for the reversed isometry: if U carries f ~ g
     then this matrix carries g ~ f."""
-    W = _invert_any(mat_involute(U), k)
+    W = invert_matrix(mat_involute(U), k)
     if W is None:
         raise CertificateError("certificate is not invertible"
                                " by trivial-unit elimination")

@@ -362,6 +362,39 @@ def test_k_beyond_limit_exits_2(capsys, argv):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("k_range, total", [
+    ("-1049..1049", 1049 * 1050),
+    ("99989..100000", 12 * 99989 + 66),
+    ("-100000..100000", 100000 * 100001),
+])
+def test_report_k_sum_beyond_limit_exits_2(capsys, k_range, total):
+    code = cli.main(["report", "--k-range=" + k_range])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: report accepts a k range whose sum of |k| is at most %d,"
+        " got %d\n" % (cli.MAX_REPORT_K_SUM, total))
+
+
+def test_largest_accepted_report_range_within_budget(tmp_path):
+    """A report row costs O(|k|), and more per unit of |k| near the
+    limit, so the worst accepted range is the rows next to -MAX_CHAIN_K
+    (the rows next to +MAX_CHAIN_K measured the same)."""
+    lo, hi = -cli.MAX_CHAIN_K, -cli.MAX_CHAIN_K + 10
+    total = sum(map(abs, range(lo, hi + 1)))
+    assert total <= cli.MAX_REPORT_K_SUM < total + abs(hi + 1)
+    out, err = tmp_path / "out.json", tmp_path / "err.txt"
+    code, seconds, rss_mb = spawn_measured(
+        ["report", "--k-range=%d..%d" % (lo, hi)], out, err)
+    assert code == 0, err.read_text()
+    assert err.read_text() == ""
+    assert seconds <= 10.0
+    assert rss_mb <= 200.0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["k"] for row in rows] == list(range(lo, hi + 1))
+    assert all(row["oracle_check"] == "ok" for row in rows)
+
 
 LONGEST_WORD = "a" * cli.MAX_WORD_LENGTH
 LONGEST_EXPR = "a" * (cli.MAX_EXPR_LENGTH - 1) + "b"

@@ -163,19 +163,34 @@ def test_try_invert_transformed_hyperbolics(k):
         assert verify_inverse(stripped, C)
 
 
+def identity(k, n):
+    return tuple(tuple(one(k) if i == j else zero(k) for j in range(n))
+                 for i in range(n))
+
+
 def test_unit_triangular_inverse():
-    rng = random.Random(77)
-    k = 2
-    for _ in range(20):
-        U = random_unit_triangular(rng, k, 4, max_terms=2)
-        # upper, and two unit lower triangular matrices built from it
-        for M in (U, hermform.mat_transpose(U), hermform._star(U)):
-            W = hermform.unit_triangular_inverse(M, k)
-            assert hermform.mat_is_identity(hermform.mat_mul(M, W, k))
-            assert hermform.mat_is_identity(hermform.mat_mul(W, M, k))
-    a = GroupRingElt.from_word(k, "a")
-    with pytest.raises(ValueError):
-        hermform.unit_triangular_inverse(((one(k), a), (a, one(k))), k)
+    """invert_matrix never fails on a unit triangular matrix, upper or
+    lower, and what it returns is a two-sided inverse."""
+    for k in (2, 3, -2, 1):
+        rng = random.Random(77 + k)
+        for _ in range(20):
+            U = random_unit_triangular(rng, k, 4, max_terms=2)
+            # upper, and two unit lower triangular matrices built from it
+            for M in (U, hermform.mat_transpose(U), hermform._star(U)):
+                W = hermform.invert_matrix(M, k)
+                assert W is not None
+                assert hermform.mat_mul(M, W, k) == identity(k, 4)
+                assert hermform.mat_mul(W, M, k) == identity(k, 4)
+        # not triangular: a verified inverse when the elimination finds
+        # one (here its first pivot is a, after a column swap), None when
+        # it cannot (1 - a^2 is no unit: it augments to 0)
+        a, A = GroupRingElt.from_word(k, "a"), GroupRingElt.from_word(k, "A")
+        X = ((one(k) * 2, a), (one(k), zero(k)))
+        W = hermform.invert_matrix(X, k)
+        assert W == ((zero(k), one(k)), (A, A * -2))
+        assert hermform.mat_mul(X, W, k) == identity(k, 2)
+        assert hermform.mat_mul(W, X, k) == identity(k, 2)
+        assert hermform.invert_matrix(((one(k), a), (a, one(k))), k) is None
 
 
 def test_e8_certificate_is_the_integer_inverse():
@@ -307,22 +322,42 @@ def test_arf_tag_validation():
 # -- certificates checked once, at their factors ----------------------------
 
 def test_congruence_rejects_wrong_triangular_inverse(monkeypatch):
+    """One wrong update inside the elimination is caught by its final
+    two-sided check: congruence attaches no certificate and
+    isometry_inverse raises."""
     k = 2
     f = hermform.even_reference_form(k, hyperbolics=2)
     U = random_unit_triangular(random.Random(80), k, f.rank, max_terms=1)
-    real = hermform.unit_triangular_inverse
-    a = GroupRingElt.from_word(k, "a")
-
-    def wrong(M, k):
-        X = [list(row) for row in real(M, k)]
-        X[0][-1] = X[0][-1] + a
-        return hermform._freeze(X)
-
     assert congruence(f, U).inverse is not None
-    monkeypatch.setattr(hermform, "unit_triangular_inverse", wrong)
+    real_invert, real_check = hermform.invert_matrix, hermform._is_inverse
+    real_addmul = _kernel.ring_addmul
+    armed, checked = [], []
+
+    def invert(M, k):
+        armed.append(True)
+        return real_invert(M, k)
+
+    def check(A, C, k):
+        checked.append(not armed)  # the wrong update came before
+        return real_check(A, C, k)
+
+    def addmul(acc, p, q, k):
+        # the first update of each elimination that leaves a nonzero
+        # entry gains a stray term a (an update that zeroes the entry
+        # below a pivot is never read again)
+        real_addmul(acc, p, q, k)
+        if armed and acc:
+            armed.clear()
+            real_addmul(acc, {(0, 0, 1): 1}, {(0, 0, 0): 1}, k)
+        return acc
+
+    monkeypatch.setattr(hermform, "invert_matrix", invert)
+    monkeypatch.setattr(hermform, "_is_inverse", check)
+    monkeypatch.setattr(_kernel, "ring_addmul", addmul)
     assert congruence(f, U).inverse is None
     with pytest.raises(CertificateError):
         isometry_inverse(U, k)
+    assert checked == [True, True]
 
 
 def test_forms_are_read_only():
@@ -398,14 +433,18 @@ def test_form_command_rejects_one_sided_hermitian_break(capsys, tmp_path,
 
 
 class _KernelCalls:
-    """Wraps _kernel.ring_addmul and records its operands."""
+    """Wraps _kernel.ring_addmul and records its operands, with their
+    sizes at the call: invert_matrix adds into its entries in place, so
+    an operand may change size afterwards."""
 
     def __init__(self, monkeypatch):
         self.operands = []
+        self.sizes = []
         real = _kernel.ring_addmul
 
         def counted(acc, p, q, k):
             self.operands.append((p, q))
+            self.sizes.append((len(p), len(q)))
             return real(acc, p, q, k)
 
         monkeypatch.setattr(_kernel, "ring_addmul", counted)
@@ -414,7 +453,8 @@ class _KernelCalls:
         start = len(self.operands)
         result = thunk()
         self.last = self.operands[start:]
-        return result, sum(len(p) * len(q) for p, q in self.last)
+        self.last_sizes = self.sizes[start:]
+        return result, sum(a * b for a, b in self.last_sizes)
 
 
 def test_congruence_does_no_product_with_its_certificate(monkeypatch):
@@ -424,15 +464,14 @@ def test_congruence_does_no_product_with_its_certificate(monkeypatch):
     calls = _KernelCalls(monkeypatch)
     mul = hermform.mat_mul
     ubar = hermform.mat_involute(U)
-    # the transport's own products: U^T A Ubar, W = Ubar^-1 and its
+    # the transport's own products: U^T A Ubar, W = Ubar^-1 with its
     # two-sided check, W C W*
     _, n1 = calls.products(
         lambda: mul(mul(hermform.mat_transpose(U), f.matrix, k), ubar, k))
-    W, n2 = calls.products(lambda: hermform.unit_triangular_inverse(ubar, k))
-    _, n3 = calls.products(lambda: hermform._is_inverse(ubar, W, k))
-    _, n4 = calls.products(
+    W, n2 = calls.products(lambda: hermform.invert_matrix(ubar, k))
+    _, n3 = calls.products(
         lambda: mul(mul(W, f.inverse, k), hermform._star(W), k))
-    own = n1 + n2 + n3 + n4
+    own = n1 + n2 + n3
     g, spent = calls.products(lambda: congruence(f, U))
     assert g.inverse is not None and spent <= own
     matrix_terms = [p.terms for row in g.matrix for p in row]
@@ -456,14 +495,62 @@ def test_mat_mul_skips_empty_operands(monkeypatch):
     for A, B in ((f.matrix, U), (U, f.inverse), (U, U)):
         got, _ = calls.products(lambda: hermform.mat_mul(A, B, k))
         assert calls.last
-        assert all(p and q for p, q in calls.last)
+        assert all(a and b for a, b in calls.last_sizes)
         n = len(A)
         want = tuple(tuple(sum((A[i][p] * B[p][j] for p in range(n)),
                                zero(k)) for j in range(n)) for i in range(n))
         assert got == want
-    # the triangular solve skips them too, upper and lower
+    # the elimination and its check skip them too, upper and lower
     for M in (U, hermform.mat_transpose(U)):
-        W, _ = calls.products(lambda: hermform.unit_triangular_inverse(M, k))
+        W, _ = calls.products(lambda: hermform.invert_matrix(M, k))
         assert calls.last
-        assert all(p and q for p, q in calls.last)
-        assert hermform._is_inverse(M, W, k)
+        assert all(a and b for a, b in calls.last_sizes)
+        assert W is not None and hermform._is_inverse(M, W, k)
+    # nor does it multiply by a column it has finished: on lower input
+    # the step at pivot p updates each row r > p with L[r][p] != 0 once
+    # for each nonzero entry of row p of the inverse
+    L = hermform.mat_transpose(U)
+    W, _ = calls.products(lambda: hermform.invert_matrix(L, k))
+    elimination = len(calls.last)
+    calls.products(lambda: hermform._is_inverse(L, W, k))
+    elimination -= len(calls.last)
+    n = len(L)
+    assert elimination == sum(
+        sum(1 for r in range(p + 1, n) if L[r][p].terms)
+        * sum(1 for x in W[p] if x.terms) for p in range(n))
+
+
+def test_wrong_certificate_fails_at_its_first_entry(monkeypatch):
+    """A C = 1 is checked one entry at a time: a certificate wrong at
+    (0, 0) is rejected after the products of that entry alone, at most
+    n kernel calls, where the whole check makes more than n."""
+    k = 3
+    rng = random.Random(86)
+    f = hermform.even_reference_form(k, hyperbolics=2, e8_blocks=2)
+    n = f.rank
+    assert n >= 20
+    # U filled down column 0 fills row 0 of the transported form; its
+    # certificate stays small
+    U = [list(row) for row in identity(k, n)]
+    for j in range(1, n):
+        U[j][0] = GroupRingElt.from_word(
+            k, "".join(rng.choice("aAbB") for _ in range(3)))
+    g = congruence(f, U)
+    assert all(p.terms for p in g.matrix[0])
+    C = [list(row) for row in g.inverse]
+    # (A C)(0, 0) gains A[0][0] b a, which is nonzero
+    C[0][0] = C[0][0] + GroupRingElt.from_word(k, "ba")
+    C = hermform._freeze(C)
+    calls = _KernelCalls(monkeypatch)
+    verdict, _ = calls.products(lambda: verify_inverse(g, g.inverse))
+    assert verdict is True and len(calls.last) > n
+    checks = (lambda: verify_inverse(g, C),
+              lambda: hermform._is_inverse(g.matrix, C, k))
+    for check in checks:
+        verdict, _ = calls.products(check)
+        assert verdict is False
+        assert 0 < len(calls.last) <= n
+    start = len(calls.operands)
+    with pytest.raises(CertificateError):
+        HermitianForm(k, g.matrix, C)
+    assert 0 < len(calls.operands) - start <= n
