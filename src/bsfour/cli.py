@@ -1,11 +1,15 @@
 """Command-line front end.
 
 JSON on stdout by default, aligned text with --pretty.  Exit codes:
-0 success, 2 invalid input (schema, word syntax, bad certificates),
-3 a descriptor that is mathematically inconsistent, 64 usage errors.
-Output is deterministic: ring terms are emitted in the canonical
-(a-exponent, denominator-exponent, numerator) order and every integer
-that can grow without bound is a decimal string.
+0 success, 2 invalid input (schema, word syntax, bad certificates,
+JSON nested too deeply to read), 3 a descriptor that is mathematically
+inconsistent, 64 usage errors.  Output is deterministic: ring terms are
+emitted in the canonical (a-exponent, denominator-exponent, numerator)
+order and every integer that can grow without bound is a decimal
+string.  The JSON is written with two-space indentation, one scalar per
+line, keys in insertion order and non-ASCII characters escaped as
+\\uXXXX: byte for byte what the json module writes with indent=2, here
+written by _dumps in one pass.
 
 main(argv) may be called repeatedly in one process, as the benchmark
 and the tests do; every call shares the one parser built at import.
@@ -14,6 +18,7 @@ and the tests do; every call shares the one parser built at import.
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import bsgroup, foxchain, hermform, intlinalg, invariants
 from .errors import (
@@ -40,7 +45,7 @@ MAX_CHAIN_K = 100000
 # 99990..100000 and -100000..-99990 each took about 3 s and 46 MB.
 MAX_REPORT_K_SUM = 1100000
 # fox prints the free derivatives, O(k^2) characters of words; at the
-# limit it takes about 1 s and 55 MB.
+# limit it writes 9.8 MB in about 0.7 s and 52 MB.
 MAX_FOX_K = 3000
 # Longest --word and --times of group, and --expr of ring; both
 # commands accept |k| <= bsgroup.MAX_JSON_K = 10^5.  A word of L letters
@@ -77,7 +82,11 @@ def _check_length(text, limit, option, command):
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise SchemaError("%s: JSON nested too deeply to read"
+                              % path) from None
 
 
 def _cmd_group(args):
@@ -251,6 +260,69 @@ def _report_table(doc):
     return "\n".join(line.rstrip() for line in lines)
 
 
+def _encode(value, indent, append):
+    """Pass to append, piece by piece, the JSON text of value with
+    two-space indentation; indent is the line break and indentation
+    that value's own line starts with.  Plain str and int items are
+    written in the loops; every other item goes through a call."""
+    if isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            append(sep + _quote(key) + ": ")  # TypeError unless key is str
+            sep = "," + inner
+            cls = type(item)
+            if cls is str:
+                append(_quote(item))
+            elif cls is int:
+                append(int.__repr__(item))
+            else:
+                _encode(item, inner, append)
+        append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            append(sep)
+            sep = "," + inner
+            cls = type(item)
+            if cls is str:
+                append(_quote(item))
+            elif cls is int:
+                append(int.__repr__(item))
+            else:
+                _encode(item, inner, append)
+        append(indent + "]")
+    elif isinstance(value, str):
+        append(_quote(value))
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    elif isinstance(value, int):
+        append(int.__repr__(value))
+    else:
+        raise TypeError("cannot write %s as JSON" % type(value).__name__)
+
+
+def _dumps(doc):
+    """The text the json module writes for doc with indent=2, byte for
+    byte, built in one pass and joined once.  dict, list and tuple are
+    the containers, str, int, bool and None the leaves, and keys are
+    str; anything else raises TypeError."""
+    out = []
+    _encode(doc, "\n", out.append)
+    return "".join(out)
+
+
 def _is_group_doc(value):
     return isinstance(value, dict) and set(value) == {"free_rank", "torsion"}
 
@@ -384,7 +456,7 @@ def main(argv=None):
     if args.pretty:
         print(_render_pretty(args.command, doc))
     else:
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
     return EXIT_OK
 
 

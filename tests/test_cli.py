@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from bsfour import bsgroup, cli, foxchain, hermform, intlinalg
+from bsfour import bsgroup, cli, foxchain, hermform, intlinalg, invariants
 from bsfour.groupring import GroupRingElt
 from bsfour.hermform import HermitianForm
 from bsfour.invariants import ManifoldDescriptor, W2Type
@@ -263,7 +263,7 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_output_is_deterministic(capsys):
+def test_output_is_deterministic(capsys, tmp_path):
     code, first = run(capsys, "report", "--k-range", "-3..3")
     assert code == 0
     assert len(json.loads(first)["rows"]) == 7
@@ -275,6 +275,58 @@ def test_output_is_deterministic(capsys):
     code, second = run(capsys, "ring", "--k", "2", "--expr", "1 + ab + ba")
     assert code == 0
     assert first == second  # canonical term order
+
+    # Every command writes exactly what json.dumps(doc, indent=2) does.
+    k = -3
+    f = hermform.congruence(hermform.hyperbolic(k, 1),
+                            ((GroupRingElt.one(k), GroupRingElt.parse(
+                                k, "2*ab - B + 1")),
+                             (GroupRingElt.zero(k), GroupRingElt.one(k))))
+    form = write(tmp_path / "form.json", f.to_json())
+    bare = write(tmp_path / "bare.json", hermform.matrix_to_json(f.matrix, k))
+    d1, d2 = (write(tmp_path / ("d%d.json" % i), d.to_json())
+              for i, d in enumerate(invariants.realize(k, f)))
+    one = write(tmp_path / "one.json", hermform.matrix_to_json(
+        ((GroupRingElt.one(k), GroupRingElt.zero(k)),
+         (GroupRingElt.zero(k), GroupRingElt.one(k))), k))
+    for argv in (("group", "--k", "-2", "--word", "aBBaba", "--invert"),
+                 ("ring", "--k", "3", "--expr", "3*ab - 2*Ba + 1",
+                  "--involute"),
+                 ("fox", "--k", "-3"),
+                 ("homology", "--k", "6", "--mod", "2"),
+                 ("lgroups", "--k", "-4"),
+                 ("bordism", "--k", "3", "--w2", "III"),
+                 ("form", form),
+                 ("form", bare, "--try-invert"),
+                 ("realize", form),
+                 ("classify", d1, d2),
+                 ("classify", d1, d1, "--isometry", one),
+                 ("report", "--k-range=-2..2")):
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    deep_matrix = tmp_path / "deep-matrix.json"
+    deep_matrix.write_text('{"k": 2, "matrix": %s%s}'
+                           % ("[" * 100000, "]" * 100000))
+    d = write(tmp_path / "d.json", ManifoldDescriptor(
+        2, hermform.hyperbolic(2, 1), W2Type.II, 0).to_json())
+    for bad in (str(deep), str(deep_matrix)):
+        for argv in (("form", bad),
+                     ("realize", bad, "--try-invert"),
+                     ("classify", bad, d),
+                     ("classify", d, bad),
+                     ("classify", d, d, "--isometry", bad)):
+            code = cli.main(list(argv))
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("error: %s: " % bad)
 
 
 def test_one_complex_per_command(capsys, monkeypatch):

@@ -10,6 +10,10 @@ swapped for junk, so they reach every check of a reader, not only the
 first; for forms and descriptors, whose checks need a hermitian matrix
 and a certificate to get past, up to two nodes anywhere in a valid
 document are replaced or deleted.
+
+The CLI's writer, cli._dumps, gives the bytes json.dumps(doc, indent=2)
+gives on any document of dicts, lists, tuples, str, int, bool and None,
+and raises TypeError on anything else.
 """
 
 import json
@@ -18,7 +22,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bsfour import bsgroup, hermform, intlinalg
+from bsfour import bsgroup, cli, hermform, intlinalg
 from bsfour.bsgroup import MAX_JSON_EXPONENT, MAX_JSON_K, BSElement
 from bsfour.errors import BsfourError, SchemaError
 from bsfour.groupring import GroupRingElt
@@ -299,3 +303,48 @@ def test_readers_reject_non_integer_ks_and_arf(value):
     doc["arf"] = {"mode": ARF_ASSERTED, "value": value}
     with pytest.raises(SchemaError):
         HermitianForm.from_json(doc)
+
+
+# Strings with everything the writer escapes: quotes, backslashes,
+# control and non-ASCII characters, lone surrogates, astral characters.
+escapes = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\/\x00\n\t\x1f\x7f\u00e9\u2028\ud800\udfff'
+                    '\U0001f600')), max_size=10)
+
+json_docs = st.recursive(
+    st.none() | st.booleans() | escapes
+    | st.integers() | st.integers(10 ** 1000, 10 ** 1500)
+    | st.integers(-(10 ** 1500), -(10 ** 1000)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(escapes, inner, max_size=4),
+    max_leaves=24)
+
+
+@FUZZ
+@given(json_docs)
+def test_writer_matches_json_dumps(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+def around(inner):
+    """Documents with inner as one of their values, one level down."""
+    return st.one_of(st.builds(lambda a, x: [a, x], json_docs, inner),
+                     st.builds(lambda x: (x,), inner),
+                     st.builds(lambda a, x: {"a": a, "x": x},
+                               json_docs, inner))
+
+
+# json.dumps writes a float, and the key 1 as "1"; the writer
+# takes neither.
+not_json = st.sampled_from([1.5, -0.0, float("inf"), {1, 2}, b"\x00",
+                            bytearray(b"x"), {1: "int key"}, {None: 0},
+                            {(1,): 0}, object()])
+
+
+@FUZZ
+@given(st.recursive(not_json, around, max_leaves=6))
+def test_writer_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._dumps(doc)
