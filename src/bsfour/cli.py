@@ -329,8 +329,9 @@ def _is_group_doc(value):
 
 def _flatten(value, path, lines):
     if _is_group_doc(value):
-        lines.append("%s: %s"
-                     % (path, intlinalg.AbelianGroup.from_json(value)))
+        group = intlinalg.AbelianGroup(
+            value["free_rank"], tuple(int(t) for t in value["torsion"]))
+        lines.append("%s: %s" % (path, group))
     elif isinstance(value, dict):
         for key, inner in value.items():
             _flatten(inner, "%s.%s" % (path, key) if path else key, lines)

@@ -165,9 +165,11 @@ class GroupRingElt:
             if not isinstance(item, dict) or set(item) != {"coeff", "elt"}:
                 raise SchemaError("each term needs exactly 'coeff' and 'elt'")
             c = _json_int(item["coeff"], "coeff")
-            g = BSElement.from_json(item["elt"], k)
-            acc[tuple(g)] = acc.get(tuple(g), 0) + c
-        return cls(k, acc)
+            g = tuple(BSElement.from_json(item["elt"], k))
+            acc[g] = acc.get(g, 0) + c
+        # BSElement.from_json returns reduced elements, so only the
+        # zero sums are left to drop before the trusted constructor.
+        return cls._raw(k, {g: c for g, c in acc.items() if c})
 
     @classmethod
     def parse(cls, k, text):
@@ -236,9 +238,9 @@ def _tokenize(text):
         elif ch in "+-*":
             out.append(ch)
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # ASCII only: str.isdigit takes "²" and "٣"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             out.append(int(text[i:j]))
             i = j

@@ -12,7 +12,7 @@ Matrices are plain lists of rows.
 import math
 from dataclasses import dataclass
 
-from .errors import ChainComplexError, SchemaError
+from .errors import ChainComplexError
 
 
 def _identity(n):
@@ -261,23 +261,6 @@ class AbelianGroup:
     def to_json(self):
         return {"free_rank": self.free_rank,
                 "torsion": [str(t) for t in self.torsion]}
-
-    @classmethod
-    def from_json(cls, doc):
-        if (not isinstance(doc, dict) or "free_rank" not in doc
-                or "torsion" not in doc):
-            raise SchemaError("abelian group needs free_rank and torsion")
-        r = doc["free_rank"]
-        if not isinstance(r, int) or isinstance(r, bool) or r < 0:
-            raise SchemaError("free_rank must be a non-negative integer")
-        ts = doc["torsion"]
-        if not isinstance(ts, list):
-            raise SchemaError("torsion must be a list")
-        try:
-            factors = [int(t) for t in ts]
-        except (TypeError, ValueError):
-            raise SchemaError("torsion entries must be integers") from None
-        return cls.from_invariant_factors(factors, r)
 
     def __str__(self):
         parts = []

@@ -16,7 +16,6 @@ are classical.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from . import foxchain, hermform, intlinalg
 from .errors import (
@@ -163,42 +162,26 @@ def stable_bordism_group(cx, w2):
     return BordismDescription(k, w2, 8, torsion)
 
 
-@dataclass(frozen=True)
-class KSVerdict:
-    """What the Kirby-Siebenmann invariant must be: forced to a value,
-    free, or inconsistent input."""
-
-    status: str
-    value: Optional[int]
-    note: Optional[str] = None
-
-    def to_json(self):
-        doc = {"status": self.status, "value": self.value}
-        if self.note is not None:
-            doc["note"] = self.note
-        return doc
-
-
 def ks_constraint(w2, sign, arf=None):
-    """KS rules by type: free for type I, sign/8 for type II,
-    sign/8 + Arf for type III (free with a warning when the Arf
-    invariant is unknown).  Even types need sign divisible by 8."""
+    """The Kirby-Siebenmann invariant that type, signature and Arf
+    invariant force: sign/8 mod 2 for type II, sign/8 + Arf mod 2 for
+    type III.  None means KS is free: always for type I, and for type
+    III while the Arf invariant is unknown.  Even types need sign
+    divisible by 8; otherwise InconsistentDescriptorError."""
     if not isinstance(w2, W2Type):
         raise SchemaError("w2 must be a W2Type")
     if arf not in (None, 0, 1):
         raise SchemaError("arf must be 0, 1 or None")
     if w2 is W2Type.I:
-        return KSVerdict("free", None)
+        return None
     if sign % 8:
-        return KSVerdict("inconsistent", None,
-                         "an even form has signature divisible by 8")
+        raise InconsistentDescriptorError(
+            "an even form has signature divisible by 8")
     if w2 is W2Type.II:
-        return KSVerdict("forced", (sign // 8) % 2)
+        return (sign // 8) % 2
     if arf is None:
-        return KSVerdict("free", None,
-                         "KS = sign/8 + Arf, undetermined while the Arf"
-                         " invariant is unknown")
-    return KSVerdict("forced", (sign // 8 + arf) % 2)
+        return None
+    return (sign // 8 + arf) % 2
 
 
 class ManifoldDescriptor:
@@ -209,7 +192,7 @@ class ManifoldDescriptor:
     types II/III an even one, type III odd k, and a forced KS relation
     must hold.  ks may be None only for type III with unknown Arf."""
 
-    __slots__ = ("k", "form", "w2", "ks", "_parity", "_signature")
+    __slots__ = ("k", "form", "w2", "ks", "parity", "signature")
 
     def __init__(self, k, form, w2, ks):
         if not isinstance(form, HermitianForm):
@@ -232,9 +215,7 @@ class ManifoldDescriptor:
             raise InconsistentDescriptorError("type III requires odd k")
         sign = intlinalg.signature(hermform.augment_form(form))
         arf = form.arf.value if form.arf is not None else None
-        verdict = ks_constraint(w2, sign, arf)
-        if verdict.status == "inconsistent":
-            raise InconsistentDescriptorError(verdict.note)
+        forced = ks_constraint(w2, sign, arf)
         if ks is None:
             if not (w2 is W2Type.III and form.arf is None):
                 raise DescriptorError(
@@ -242,23 +223,15 @@ class ManifoldDescriptor:
                     " unknown Arf invariant")
         elif type(ks) is not int or ks not in (0, 1):
             raise DescriptorError("ks must be 0 or 1")
-        elif verdict.status == "forced" and ks != verdict.value:
+        elif forced is not None and ks != forced:
             raise InconsistentDescriptorError(
-                "KS must be %d for this type and signature" % verdict.value)
+                "KS must be %d for this type and signature" % forced)
         self.k = k
         self.form = form
         self.w2 = w2
         self.ks = ks
-        self._parity = par
-        self._signature = sign
-
-    @property
-    def parity(self):
-        return self._parity
-
-    @property
-    def signature(self):
-        return self._signature
+        self.parity = par
+        self.signature = sign
 
     def invariant_snapshot(self):
         return {"w2": self.w2.value, "ks": self.ks,
@@ -298,6 +271,9 @@ class ClassifyResult:
                 "invariants": self.invariants}
 
 
+_INVARIANT_NAMES = {"w2": "w2 type", "ks": "Kirby-Siebenmann invariant"}
+
+
 def classify(d1, d2, isometry=None):
     """Three-valued homeomorphism test.
 
@@ -310,24 +286,16 @@ def classify(d1, d2, isometry=None):
         raise SchemaError("classify takes two manifold descriptors")
     if d1.k != d2.k:
         raise GroupMismatchError("descriptors are over different k")
-    invariants = {"first": d1.invariant_snapshot(),
-                  "second": d2.invariant_snapshot()}
+    first, second = d1.invariant_snapshot(), d2.invariant_snapshot()
+    invariants = {"first": first, "second": second}
+    # One reason per differing invariant, in snapshot order; an unknown
+    # ks (None) differs from nothing.
     reasons = []
-    if d1.w2 is not d2.w2:
-        reasons.append("w2 type differs: %s vs %s"
-                       % (d1.w2.value, d2.w2.value))
-    if d1.ks is not None and d2.ks is not None and d1.ks != d2.ks:
-        reasons.append("Kirby-Siebenmann invariant differs: %d vs %d"
-                       % (d1.ks, d2.ks))
-    if d1.form.rank != d2.form.rank:
-        reasons.append("rank differs: %d vs %d"
-                       % (d1.form.rank, d2.form.rank))
-    if d1.parity is not d2.parity:
-        reasons.append("parity differs: %s vs %s"
-                       % (d1.parity.value, d2.parity.value))
-    if d1.signature != d2.signature:
-        reasons.append("signature differs: %d vs %d"
-                       % (d1.signature, d2.signature))
+    for name, a in first.items():
+        b = second[name]
+        if a != b and a is not None and b is not None:
+            reasons.append("%s differs: %s vs %s"
+                           % (_INVARIANT_NAMES.get(name, name), a, b))
     if reasons:
         return ClassifyResult("NotHomeomorphic", tuple(reasons), invariants)
     ks_known = d1.ks is not None and d2.ks is not None
@@ -372,10 +340,9 @@ def realize(k, form):
     sign = intlinalg.signature(hermform.augment_form(form))
     arf = form.arf.value if form.arf is not None else None
     # An even form with an inverse augments to an even unimodular
-    # lattice, so 8 divides sign; were it not, ManifoldDescriptor would
-    # raise the inconsistent verdict of ks_constraint before it reads ks.
+    # lattice, so 8 divides sign; were it not, ks_constraint would raise
+    # InconsistentDescriptorError here.
     types = (W2Type.II, W2Type.III) if k % 2 else (W2Type.II,)
-    return [ManifoldDescriptor(k, form, w2,
-                               ks_constraint(w2, sign, arf).value)
+    return [ManifoldDescriptor(k, form, w2, ks_constraint(w2, sign, arf))
             for w2 in types]
 

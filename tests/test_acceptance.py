@@ -211,14 +211,11 @@ def test_criterion_6_signature_mod8_and_ks():
                 assert parity(g) is Parity.EVEN
                 sig = signature(augment_form(g))
                 assert sig % 8 == 0
-                v2 = ks_constraint(W2Type.II, sig)
-                assert v2.status == "forced"
-                assert v2.value == (sig // 8) % 2
+                assert ks_constraint(W2Type.II, sig) == (sig // 8) % 2
                 if k % 2:
                     arf = g.arf.value
-                    v3 = ks_constraint(W2Type.III, sig, arf)
-                    assert v3.status == "forced"
-                    assert v3.value == (sig // 8 + arf) % 2
+                    assert ks_constraint(W2Type.III, sig, arf) \
+                        == (sig // 8 + arf) % 2
 
 
 def _fixture_forms(k):
@@ -270,8 +267,7 @@ def test_criterion_7_realization_counts():
                     else:
                         assert d.ks is None
                     arf = None if d.form.arf is None else d.form.arf.value
-                    assert ks_constraint(d.w2, sig, arf).status \
-                        != "inconsistent"
+                    assert ks_constraint(d.w2, sig, arf) == d.ks
         assert tested >= 20
 
 

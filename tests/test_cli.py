@@ -66,6 +66,16 @@ def test_ring_expression(capsys):
     assert GroupRingElt.from_json(inv["element"]) == back.involute()
 
 
+@pytest.mark.parametrize("expr", ["\u0663*a", "\u00b2*a"])
+def test_ring_rejects_non_ascii_digits(capsys, expr):
+    code = cli.main(["ring", "--k", "2", "--expr", expr])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert "unexpected character" in line
+
+
 def test_fox_formulas(capsys):
     doc = run_json(capsys, "fox", "--k", "2")
     assert doc["relator"] == "abABB"

@@ -32,7 +32,9 @@ def test_parse_matches_construction():
 
 
 def test_parse_rejects_malformed():
-    for text in ["2**a", "a +", "+", "c", "1 -- 2", "", "(a)"]:
+    # digits are ASCII only: str.isdigit also takes these
+    for text in ["2**a", "a +", "+", "c", "1 -- 2", "", "(a)",
+                 "\u0663*a", "\u00b2*a", "1\u00b2", "\uff13a"]:
         with pytest.raises(SchemaError):
             GroupRingElt.parse(2, text)
 

