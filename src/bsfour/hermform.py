@@ -13,13 +13,18 @@ matrix.  A product is compared with 1 entry by entry, as it is summed.
 For a hermitian A the one product A C = 1 is checked: it implies
 C A = 1 (the proof is at _is_hermitian_inverse).  A certificate that
 congruence transports is derived from checked factors, not multiplied
-out again (the proof is at congruence).  Forms are read-only, so a
-certificate once checked stays attached to its matrix.  Parity reads
-the identity coefficients of the diagonal; cross terms contribute
-lambda + conjugate(lambda), which has even identity coefficient, so
-the diagonal rule agrees with evaluation parity.  The augmented form
-is the integer Gram matrix obtained by applying the augmentation
-entrywise; its signature is the signature invariant of the form.
+out again (the proof is at congruence).  A form that congruence builds
+keeps the factors L = U^T A and involute(U) of its matrix, and
+verify_inverse multiplies a certificate C through them: L (involute(U) C)
+equals the matrix times C, and that full product is still compared
+with 1 entry by entry (the proof is at verify_inverse).  Forms are
+read-only, so a certificate once checked stays attached to its matrix,
+and a transported form to its factors.  Parity reads the identity
+coefficients of the diagonal; cross terms contribute
+lambda + conjugate(lambda), which has even identity coefficient, so the
+diagonal rule agrees with evaluation parity.  The augmented form is the
+integer Gram matrix obtained by applying the augmentation entrywise;
+its signature is the signature invariant of the form.
 """
 
 from dataclasses import dataclass
@@ -188,6 +193,11 @@ class HermitianForm:
 
     _certifies = staticmethod(_is_hermitian_inverse)
 
+    @property
+    def _factors(self):
+        # matrices whose product, left to right, is the form matrix
+        return (self.matrix,)
+
     def __setattr__(self, name, value):
         raise AttributeError("HermitianForm is read-only")
 
@@ -317,6 +327,22 @@ def orthogonal_sum(f, g):
     return HermitianForm(k, block(f.matrix, g.matrix), cert, arf)
 
 
+def _add_product(acc, p, q, k):
+    """acc += p q in place.  A factor equal to 1 is not sent to the
+    kernel: the other one is added in directly, term by term in the
+    order the kernel would add its products, so acc ends up the same
+    dict, in the same order."""
+    if p == _ONE or q == _ONE:
+        for g, c in (q if p == _ONE else p).items():
+            c += acc.get(g, 0)
+            if c:
+                acc[g] = c
+            else:
+                del acc[g]
+        return acc
+    return _kernel.ring_addmul(acc, p, q, k)
+
+
 def invert_matrix(mat, k):
     """Invert a square matrix over the group ring by Gauss-Jordan
     elimination with trivial-unit pivots (+-g only).  Sound but not
@@ -350,15 +376,14 @@ def invert_matrix(mat, k):
         if M[i][i] != _ONE:
             (g, s), = M[i][i].items()
             pinv = {_kernel.bs_inv(g, k): s}
-            M[i] = [_kernel.ring_addmul({}, pinv, x, k) if x else x
-                    for x in M[i]]
+            M[i] = [_add_product({}, pinv, x, k) if x else x for x in M[i]]
         for r, row in enumerate(M):
             if r == i or not row[i]:
                 continue
             neg = {g: -v for g, v in row[i].items()}
             for j, y in enumerate(M[i]):
                 if y and j != i:
-                    _kernel.ring_addmul(row[j], neg, y, k)
+                    _add_product(row[j], neg, y, k)
             row[i] = {}  # row[i] - row[i] M[i][i], as M[i][i] = 1
     # swapping columns i and c of mat swaps rows i and c of its inverse
     rows = dict(zip(perm, M))
@@ -380,17 +405,43 @@ def try_invert(f):
 
 def verify_inverse(f, C):
     """True iff C is the inverse of the form matrix, checked by exact
-    multiplication (one product: the matrix is hermitian)."""
-    return _is_hermitian_inverse(f.matrix, _freeze(C), f.k)
+    multiplication: the shape first, then one product compared with 1
+    (the matrix is hermitian).  The product is taken through the
+    factors of the matrix that the form keeps: for a form transported
+    by U, C is multiplied by involute(U) first and the result by U^T
+    times the source form's matrix."""
+    # The factors multiply out, left to right, to the form matrix A
+    # exactly: (A,) for a plain form, and (L, Ubar) for a transported
+    # one, whose matrix _TransportedForm computed as L Ubar (forms are
+    # read-only, so the factors stay those of A).  Matrix multiplication
+    # over a ring is associative, so A C = L (Ubar C), and
+    # _product_is_identity compares that full product with 1 entry by
+    # entry: the verdict is the one A C = 1 gives, for every C, and a
+    # wrong C still fails at the first wrong entry of that product.
+    # Only the cost differs: for the transported certificate
+    # C = W C0 W*, Ubar W = 1 leaves Ubar C = C0 W*, far sparser than C.
+    C = _freeze(C)
+    if not _is_square(C, f.rank):
+        return False
+    first, *rest = f._factors
+    for F in reversed(rest):
+        C = mat_mul(F, C, f.k)
+    return _product_is_identity(first, C, f.k)
 
 
 class _TransportedForm(HermitianForm):
-    """A form built by congruence.  Its certificate is exact by
-    construction from checked factors (the proof is at congruence), so
-    only the certificate's product with the matrix is skipped; the
-    shape, entry and hermitian checks still run."""
+    """A form built by congruence from its factors L = U^T A and
+    Ubar = involute(U): the matrix is L Ubar.  Its certificate is exact
+    by construction from checked factors (the proof is at congruence),
+    so only the certificate's product with the matrix is skipped; the
+    shape, entry and hermitian checks still run.  The factors are kept
+    for verify_inverse."""
 
-    __slots__ = ()
+    __slots__ = ("_factors",)
+
+    def __init__(self, k, L, ubar, inverse, arf):
+        super().__init__(k, mat_mul(L, ubar, k), inverse, arf)
+        object.__setattr__(self, "_factors", (L, ubar))
 
     @staticmethod
     def _certifies(matrix, inverse, k):
@@ -409,20 +460,20 @@ def congruence(f, U):
     _check_entries(f.k, U, "congruence")
     k = f.k
     ubar = mat_involute(U)
-    A2 = mat_mul(mat_mul(mat_transpose(U), f.matrix, k), ubar, k)
+    L = mat_mul(mat_transpose(U), f.matrix, k)
     cert = None
     if f.inverse is not None:
         W = invert_matrix(ubar, k)
         if W is not None:
             cert = mat_mul(mat_mul(W, f.inverse, k), _star(W), k)
-    # The certificate C2 = W C W* of A2 = U^T A Ubar, with A = f.matrix
-    # and C = f.inverse, is correct without multiplying A2 by C2:
-    # A C = 1 because f is a HermitianForm (checked or derived when f
-    # was built, and forms are read-only), and W Ubar = Ubar W = 1
+    # The certificate C2 = W C W* of A2 = L Ubar = U^T A Ubar, with
+    # A = f.matrix and C = f.inverse, is correct without multiplying A2
+    # by C2.  A C = 1 because f is a HermitianForm (checked or derived
+    # when f was built, and forms are read-only), and W Ubar = Ubar W = 1
     # because invert_matrix checked both products.  Since Ubar* = U^T,
     #   A2 C2 = U^T A (Ubar W) C W* = U^T (A C) W* = U^T W* = (W Ubar)* = 1,
     # and A2 is hermitian, so C2 A2 = 1 as at _is_hermitian_inverse.
-    return _TransportedForm(k, A2, cert, f.arf)
+    return _TransportedForm(k, L, ubar, cert, f.arf)
 
 
 def verify_isometry(f, g, U):

@@ -244,6 +244,26 @@ def test_report_rows(capsys):
         assert run_json(capsys, "report", option, "-2..2") == full
 
 
+def test_report_row_computes_each_homology_once(capsys, monkeypatch):
+    """A report row computes the chain homology once per coefficient
+    ring; its bordism column is the one stable_bordism_group gives."""
+    real = intlinalg.homology_of_complex
+    moduli = []
+
+    def counted(d2, d1, modulus):
+        moduli.append(modulus)
+        return real(d2, d1, modulus)
+
+    monkeypatch.setattr(intlinalg, "homology_of_complex", counted)
+    doc = run_json(capsys, "report", "--k-range=-6..6")
+    assert moduli == [0, 2] * 13
+    monkeypatch.undo()
+    for row in doc["rows"]:
+        cx = foxchain.build_complex(row["k"])
+        assert row["bordism"] == str(
+            invariants.stable_bordism_group(cx, W2Type.II))
+
+
 def test_report_pretty_table(capsys):
     code, out = run(capsys, "report", "--k-range", "0..0", "--pretty")
     assert code == 0

@@ -481,9 +481,13 @@ def test_congruence_does_no_product_with_its_certificate(monkeypatch):
                     and any(q is t for t in cert_terms))
         assert not (any(p is t for t in cert_terms)
                     and any(q is t for t in matrix_terms))
-    # the product left out is the bulk of a full check
-    _, check = calls.products(lambda: verify_inverse(g, g.inverse))
-    assert check > own
+    # the product left out, A2 C2 taken directly, is the bulk of a full
+    # check; verify_inverse takes it through the factors, for less
+    _, direct = calls.products(
+        lambda: hermform._is_hermitian_inverse(g.matrix, g.inverse, k))
+    assert direct > own
+    verdict, check = calls.products(lambda: verify_inverse(g, g.inverse))
+    assert verdict is True and check < direct
 
 
 def test_mat_mul_skips_empty_operands(monkeypatch):
@@ -508,7 +512,8 @@ def test_mat_mul_skips_empty_operands(monkeypatch):
         assert W is not None and hermform._is_inverse(M, W, k)
     # nor does it multiply by a column it has finished: on lower input
     # the step at pivot p updates each row r > p with L[r][p] != 0 once
-    # for each nonzero entry of row p of the inverse
+    # for each nonzero entry of row p of the inverse; an update with a
+    # factor equal to 1 (-L[r][p] or the entry) is no kernel call
     L = hermform.mat_transpose(U)
     W, _ = calls.products(lambda: hermform.invert_matrix(L, k))
     elimination = len(calls.last)
@@ -516,8 +521,8 @@ def test_mat_mul_skips_empty_operands(monkeypatch):
     elimination -= len(calls.last)
     n = len(L)
     assert elimination == sum(
-        sum(1 for r in range(p + 1, n) if L[r][p].terms)
-        * sum(1 for x in W[p] if x.terms) for p in range(n))
+        sum(1 for r in range(p + 1, n) if L[r][p] and L[r][p] != -one(k))
+        * sum(1 for x in W[p] if x and x != one(k)) for p in range(n))
 
 
 def test_wrong_certificate_fails_at_its_first_entry(monkeypatch):
@@ -541,10 +546,12 @@ def test_wrong_certificate_fails_at_its_first_entry(monkeypatch):
     # (A C)(0, 0) gains A[0][0] b a, which is nonzero
     C[0][0] = C[0][0] + GroupRingElt.from_word(k, "ba")
     C = hermform._freeze(C)
+    plain = HermitianForm(k, g.matrix, g.inverse)
     calls = _KernelCalls(monkeypatch)
-    verdict, _ = calls.products(lambda: verify_inverse(g, g.inverse))
-    assert verdict is True and len(calls.last) > n
-    checks = (lambda: verify_inverse(g, C),
+    for h in (g, plain):
+        verdict, _ = calls.products(lambda: verify_inverse(h, h.inverse))
+        assert verdict is True and len(calls.last) > n
+    checks = (lambda: verify_inverse(plain, C),
               lambda: hermform._is_inverse(g.matrix, C, k))
     for check in checks:
         verdict, _ = calls.products(check)
@@ -554,3 +561,91 @@ def test_wrong_certificate_fails_at_its_first_entry(monkeypatch):
     with pytest.raises(CertificateError):
         HermitianForm(k, g.matrix, C)
     assert 0 < len(calls.operands) - start <= n
+    # the transported form first multiplies C by involute(U) in full;
+    # the product then compared with 1 stops at its first entry
+    calls.products(lambda: hermform.mat_mul(hermform.mat_involute(U), C, k))
+    factor = len(calls.last)
+    verdict, _ = calls.products(lambda: verify_inverse(g, C))
+    assert verdict is False
+    assert factor < len(calls.last) <= factor + n
+
+
+def test_invert_matrix_adds_factors_of_one_directly(monkeypatch):
+    """No update of the elimination sends a factor equal to 1 to the
+    kernel: the other factor is added in directly.  The inverses are
+    the ones every update through the kernel gives, term order
+    included.  The final two-sided check is a product like any other."""
+    k = 3
+    rng = random.Random(87)
+    a, b = (GroupRingElt.from_word(k, w) for w in "ab")
+    U = random_unit_triangular(rng, k, 6, max_terms=1)
+    mats = (U, hermform.mat_transpose(U),
+            ((a, one(k)), (one(k), zero(k))),        # 1 beside pivot a
+            ((one(k), a), (-one(k), zero(k))),       # -1 below a pivot
+            ((zero(k), -b), (a * b, one(k))))        # pivot -b off (0, 0)
+    ident = {(0, 0, 0): 1}
+    seen, checking = [], []
+    real_addmul, real_check = _kernel.ring_addmul, hermform._is_inverse
+
+    def addmul(acc, p, q, k):
+        if not checking:
+            seen.append(p == ident or q == ident)
+        return real_addmul(acc, p, q, k)
+
+    def check(A, C, k):
+        checking.append(True)
+        try:
+            return real_check(A, C, k)
+        finally:
+            checking.clear()
+
+    def order(W):
+        return [[list(x.terms.items()) for x in row] for row in W]
+
+    monkeypatch.setattr(_kernel, "ring_addmul", addmul)
+    monkeypatch.setattr(hermform, "_is_inverse", check)
+    monkeypatch.setattr(hermform, "_add_product", addmul)
+    want = [hermform.invert_matrix(M, k) for M in mats]
+    assert all(W is not None for W in want)
+    assert any(seen)  # the updates through the kernel multiply by 1
+    monkeypatch.undo()
+    monkeypatch.setattr(_kernel, "ring_addmul", addmul)
+    monkeypatch.setattr(hermform, "_is_inverse", check)
+    seen.clear()
+    got = [hermform.invert_matrix(M, k) for M in mats]
+    assert seen and not any(seen)
+    assert [order(W) for W in got] == [order(W) for W in want]
+
+
+def test_verify_inverse_agrees_with_the_direct_product():
+    """verify_inverse on a transported form multiplies through its
+    factors and gives the verdict of the direct product A C = 1: for
+    forms transported once and twice, over k of both signs, E8 among
+    them, and for the certificate, a tampered one and wrong shapes."""
+    rng = random.Random(88)
+    verdicts = set()
+    for i in range(24):
+        k = (2, 3, -2, -3)[i % 4]
+        r, e8 = ((1, 0), (2, 0), (0, 1))[i % 3]
+        g = hermform.even_reference_form(k, r, e8)
+        for _ in range(1 + i % 2):
+            g = congruence(g, random_unit_triangular(rng, k, g.rank,
+                                                     max_terms=1))
+        n = g.rank
+        C = [list(row) for row in g.inverse]
+        tampered = [list(row) for row in C]
+        x, y = rng.randrange(n), rng.randrange(n)
+        w = "".join(rng.choice("aAbB") for _ in range(rng.randint(0, 3)))
+        tampered[x][y] = tampered[x][y] + GroupRingElt.from_word(
+            k, w, rng.choice((-1, 1)))
+        shapes = (C[:-1], [row[:-1] for row in C],
+                  [row + [zero(k)] for row in C] + [[zero(k)] * (n + 1)],
+                  C[:-1] + [C[-1][:-1]])
+        for D in (g.inverse, tampered) + shapes:
+            want = hermform._is_hermitian_inverse(g.matrix,
+                                                  hermform._freeze(D), k)
+            assert verify_inverse(g, D) == want
+            verdicts.add(want)
+        assert verify_inverse(g, g.inverse) is True
+        assert verify_inverse(g, tampered) is False
+    assert verdicts == {True, False}
