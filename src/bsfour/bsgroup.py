@@ -14,6 +14,7 @@ Words are strings over a, A, b, B with A = a^-1 and B = b^-1.
 """
 
 import sys
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import _kernel
@@ -40,43 +41,28 @@ class BSElement(NamedTuple):
     t: int
 
     def to_json(self):
-        try:
-            num = str(self.num)
-        except ValueError:  # str() and int() share the digit limit
-            raise BsfourError(
-                "a group element of the result has a num of more than %d"
-                " digits, the most the JSON readers accept"
-                % sys.get_int_max_str_digits()) from None
-        return {"num": num, "pow": self.pow, "t": str(self.t)}
+        return _json_element(*self)
 
     @classmethod
     def from_json(cls, doc, k):
-        if not isinstance(doc, dict):
-            raise SchemaError("group element must be a JSON object")
-        for field in ("num", "pow", "t"):
-            if field not in doc:
-                raise SchemaError("group element missing field %r" % field)
-        if abs(k) > MAX_JSON_K:
-            raise SchemaError("group elements are read only for |k| <= %d"
-                              % MAX_JSON_K)
-        num = _json_int(doc["num"], "num")
-        t = _json_int(doc["t"], "t")
-        if abs(t) > MAX_JSON_EXPONENT:
-            raise SchemaError("field 't' must have |t| <= %d"
-                              % MAX_JSON_EXPONENT)
-        pw = doc["pow"]
-        if not isinstance(pw, int) or isinstance(pw, bool) or pw < 0:
-            raise SchemaError("pow must be a non-negative integer")
-        if pw > MAX_JSON_EXPONENT:
-            raise SchemaError("pow must be at most %d" % MAX_JSON_EXPONENT)
-        return element(num, pw, t, k)
+        # the element checks of _json_terms, on a term of coefficient 1
+        (g,) = _json_terms([{"coeff": 1, "elt": doc}], k)
+        return cls(*g)
+
+
+def _json_element(num, pow, t):
+    try:
+        num = str(num)
+    except ValueError:  # str() and int() share the digit limit
+        raise BsfourError(
+            "a group element of the result has a num of more than %d"
+            " digits, the most the JSON readers accept"
+            % sys.get_int_max_str_digits()) from None
+    return {"num": num, "pow": pow, "t": str(t)}
 
 
 def _json_int(value, field):
-    if isinstance(value, bool):
-        raise SchemaError("field %r must be an integer string" % field)
-    if isinstance(value, int):
-        return value
+    # str, the common case, first: the types are disjoint
     if isinstance(value, str):
         text = value.strip()
         stripped = text[1:] if text[:1] in "+-" else text
@@ -86,14 +72,44 @@ def _json_int(value, field):
             except ValueError:  # longer than int() reads from a string
                 raise SchemaError("field %r has too many digits"
                                   % field) from None
+    elif isinstance(value, bool):
+        raise SchemaError("field %r must be an integer string" % field)
+    elif isinstance(value, int):
+        return value
     raise SchemaError("field %r must be a decimal integer string" % field)
 
 
-def element(num, pow, t, k):
-    """Canonical element with x = num / |k|^pow, reducing as needed."""
-    if pow < 0:
-        raise ValueError("pow must be non-negative")
-    return BSElement(*_kernel.bs_reduce(num, pow, t, k))
+def _json_terms(items, k):
+    """Reduced (num, pow, t) -> nonzero coefficient, in order of first
+    appearance, checked in the order docs/schemas/element.md gives."""
+    acc = {}
+    for item in items:
+        if (not isinstance(item, dict) or len(item) != 2
+                or "coeff" not in item or "elt" not in item):
+            raise SchemaError("each term needs exactly 'coeff' and 'elt'")
+        c = _json_int(item["coeff"], "coeff")
+        doc = item["elt"]
+        if not isinstance(doc, dict):
+            raise SchemaError("group element must be a JSON object")
+        if "num" not in doc or "pow" not in doc or "t" not in doc:
+            raise SchemaError("group element missing field %r" % next(
+                f for f in ("num", "pow", "t") if f not in doc))
+        if abs(k) > MAX_JSON_K:
+            raise SchemaError("group elements are read only for |k| <= %d"
+                              % MAX_JSON_K)
+        num = _json_int(doc["num"], "num")
+        t = _json_int(doc["t"], "t")
+        if t > MAX_JSON_EXPONENT or t < -MAX_JSON_EXPONENT:
+            raise SchemaError("field 't' must have |t| <= %d"
+                              % MAX_JSON_EXPONENT)
+        pw = doc["pow"]
+        if not isinstance(pw, int) or isinstance(pw, bool) or pw < 0:
+            raise SchemaError("pow must be a non-negative integer")
+        if pw > MAX_JSON_EXPONENT:
+            raise SchemaError("pow must be at most %d" % MAX_JSON_EXPONENT)
+        g = _kernel.bs_reduce(num, pw, t, k)
+        acc[g] = acc.get(g, 0) + c
+    return {g: c for g, c in acc.items() if c}
 
 
 def multiply(g, h, k):
@@ -130,6 +146,5 @@ def free_reduce(word):
     return "".join(out)
 
 
-def sort_key(g):
-    """Canonical term order: by t, then pow, then num."""
-    return (g[2], g[1], g[0])
+# Canonical term order: by t, then pow, then num.
+sort_key = itemgetter(2, 1, 0)

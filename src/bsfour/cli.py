@@ -1,15 +1,16 @@
 """Command-line front end.
 
 JSON on stdout by default, aligned text with --pretty.  Exit codes:
-0 success, 2 invalid input (schema, word syntax, bad certificates,
-JSON nested too deeply to read), 3 a descriptor that is mathematically
-inconsistent, 64 usage errors.  Output is deterministic: ring terms are
-emitted in the canonical (a-exponent, denominator-exponent, numerator)
-order and every integer that can grow without bound is a decimal
-string.  The JSON is written with two-space indentation, one scalar per
-line, keys in insertion order and non-ASCII characters escaped as
-\\uXXXX: byte for byte what the json module writes with indent=2, here
-written by _dumps in one pass.
+0 success, 2 invalid input (schema, word syntax, bad certificates, a
+file that is not UTF-8 JSON or is nested too deeply to read), 3 a
+descriptor that is mathematically inconsistent, 64 usage errors.
+Output is deterministic: ring terms are emitted in the canonical
+(a-exponent, denominator-exponent, numerator) order and every integer
+that can grow without bound is a decimal string.  The JSON is written
+with two-space indentation, one scalar per line, keys in insertion
+order and non-ASCII characters escaped as \\uXXXX: byte for byte what
+the json module writes with indent=2, here written by _dumps in one
+pass.
 
 main(argv) may be called repeatedly in one process, as the benchmark
 and the tests do; every call shares the one parser built at import.
@@ -81,12 +82,20 @@ def _check_length(text, limit, option, command):
 
 
 def _load_json(path):
+    """The document in the file at path.  A file that is not UTF-8
+    JSON, holds a number of too many digits or is nested too deeply to
+    read raises SchemaError with one line that names it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
-            raise SchemaError("%s: JSON nested too deeply to read"
-                              % path) from None
+            reason = "JSON nested too deeply to read"
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            reason = str(exc)
+        except ValueError:  # int() refused a number of too many digits
+            reason = ("a JSON number has more than %d digits, the most"
+                      " the reader accepts" % sys.get_int_max_str_digits())
+    raise SchemaError("%s: %s" % (path, reason))
 
 
 def _cmd_group(args):

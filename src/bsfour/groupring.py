@@ -8,10 +8,15 @@ computed in Z[B(k)] directly (foxchain.build_complex).
 The involution extends g -> g^-1 linearly; it is an anti-automorphism.
 The augmentation sums coefficients; it is the ring map to Z induced by
 collapsing the group.
+
+JSON terms are read by one loop, bsgroup._json_terms, which
+GroupRingElt.from_json (and through it every matrix, form and
+descriptor reader) and BSElement.from_json both use.  to_json writes
+the terms from the sorted keys directly.
 """
 
 from . import _kernel, bsgroup
-from .bsgroup import BSElement, _json_int
+from .bsgroup import _json_element, _json_terms
 from .errors import GroupMismatchError, SchemaError
 
 _IDENT = (0, 0, 0)
@@ -140,15 +145,11 @@ class GroupRingElt:
     def identity_coefficient(self):
         return self.terms.get(_IDENT, 0)
 
-    def sorted_terms(self):
-        """Pairs (element, coefficient) in canonical (t, pow, num) order."""
-        return [(BSElement(*g), self.terms[g])
-                for g in sorted(self.terms, key=bsgroup.sort_key)]
-
     def to_json(self):
+        terms = self.terms
         return {"k": self.k,
-                "terms": [{"coeff": str(c), "elt": g.to_json()}
-                          for g, c in self.sorted_terms()]}
+                "terms": [{"coeff": str(terms[g]), "elt": _json_element(*g)}
+                          for g in sorted(terms, key=bsgroup.sort_key)]}
 
     @classmethod
     def from_json(cls, doc):
@@ -160,16 +161,7 @@ class GroupRingElt:
         terms = doc.get("terms")
         if not isinstance(terms, list):
             raise SchemaError("ring element needs a list field 'terms'")
-        acc = {}
-        for item in terms:
-            if not isinstance(item, dict) or set(item) != {"coeff", "elt"}:
-                raise SchemaError("each term needs exactly 'coeff' and 'elt'")
-            c = _json_int(item["coeff"], "coeff")
-            g = tuple(BSElement.from_json(item["elt"], k))
-            acc[g] = acc.get(g, 0) + c
-        # BSElement.from_json returns reduced elements, so only the
-        # zero sums are left to drop before the trusted constructor.
-        return cls._raw(k, {g: c for g, c in acc.items() if c})
+        return cls._raw(k, _json_terms(terms, k))
 
     @classmethod
     def parse(cls, k, text):
@@ -221,7 +213,9 @@ class GroupRingElt:
         return total
 
     def __str__(self):
-        return _render(self.sorted_terms(),
+        terms = self.terms
+        return _render([(g, terms[g])
+                        for g in sorted(terms, key=bsgroup.sort_key)],
                        lambda g: _elt_str(g, self.k))
 
     def __repr__(self):

@@ -292,15 +292,19 @@ def hyperbolic(k, r):
                          arf=ArfTag(ARF_EXTENDED, 0))
 
 
+def _constants(k, M):
+    """An integer matrix as a matrix of constants of the group ring."""
+    return _freeze([[GroupRingElt.one(k) * int(x) for x in row]
+                    for row in M])
+
+
 def from_integer_matrix(k, M):
     """Embed a symmetric integer matrix as constants.  Unimodular
     matrices get their integer inverse as certificate; integer forms
     carry the extended-from-Z arf tag."""
-    rows = [[GroupRingElt.one(k) * int(x) for x in row] for row in M]
+    rows = _constants(k, M)
     inv = intlinalg.unimodular_inverse(M)
-    cert = None
-    if inv is not None:
-        cert = [[GroupRingElt.one(k) * x for x in row] for row in inv]
+    cert = _constants(k, inv) if inv is not None else None
     return HermitianForm(k, rows, inverse=cert, arf=ArfTag(ARF_EXTENDED, 0))
 
 
@@ -395,11 +399,22 @@ def invert_matrix(mat, k):
 def try_invert(f):
     """Verified inverse of the form matrix, or None (unknown).  The
     augmented matrix must be invertible over Z, which rejects most
-    non-invertible forms immediately."""
+    non-invertible forms immediately.  A form of integer constants gets
+    the integer inverse, lifted; any other goes to invert_matrix."""
     if f.rank == 0:
         return ()
-    if intlinalg.unimodular_inverse(augment_form(f)) is None:
+    inv = intlinalg.unimodular_inverse(augment_form(f))
+    if inv is None:
         return None
+    if all(p.terms.keys() <= _ONE.keys() for row in f.matrix for p in row):
+        # The augmentation is the identity on constants, so inv is the
+        # integer inverse of the matrix.  Z -> Z[B(k)] is a ring map, so
+        # its lift is an inverse over the group ring, and the only one:
+        # a constant form that invert_matrix inverts gets the certificate
+        # it would give, and one on which its +-g pivots get stuck, such
+        # as E8, gets one too.  It is still checked exactly.
+        C = _constants(f.k, inv)
+        return C if _is_inverse(f.matrix, C, f.k) else None
     return invert_matrix(f.matrix, f.k)
 
 

@@ -6,8 +6,17 @@ reproducible.
 
 from fractions import Fraction
 
-from bsfour import bsgroup
+from bsfour import _kernel, bsgroup
+from bsfour.bsgroup import MAX_JSON_EXPONENT, MAX_JSON_K, BSElement
+from bsfour.errors import SchemaError
 from bsfour.groupring import FreeRingElt, GroupRingElt
+
+
+def element(num, pow, t, k):
+    """Canonical element with x = num / |k|^pow, reducing as needed."""
+    if pow < 0:
+        raise ValueError("pow must be non-negative")
+    return BSElement(*_kernel.bs_reduce(num, pow, t, k))
 
 
 def random_word(rng, maxlen=40):
@@ -149,3 +158,67 @@ def sesquilinear(f, x, y):
             row = row + f.matrix[i][j] * ybar[j]
         total = total + x[i] * row
     return total
+
+
+# The JSON readers of ring and group elements as they were before one
+# loop (bsgroup._json_terms) read every term: a function call per
+# element and per integer field, kept as the oracle of that loop.
+
+def oracle_json_int(value, field):
+    if isinstance(value, bool):
+        raise SchemaError("field %r must be an integer string" % field)
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        text = value.strip()
+        stripped = text[1:] if text[:1] in "+-" else text
+        if stripped.isascii() and stripped.isdigit():
+            try:
+                return int(text)
+            except ValueError:  # longer than int() reads from a string
+                raise SchemaError("field %r has too many digits"
+                                  % field) from None
+    raise SchemaError("field %r must be a decimal integer string" % field)
+
+
+def oracle_element_from_json(doc, k):
+    if not isinstance(doc, dict):
+        raise SchemaError("group element must be a JSON object")
+    for field in ("num", "pow", "t"):
+        if field not in doc:
+            raise SchemaError("group element missing field %r" % field)
+    if abs(k) > MAX_JSON_K:
+        raise SchemaError("group elements are read only for |k| <= %d"
+                          % MAX_JSON_K)
+    num = oracle_json_int(doc["num"], "num")
+    t = oracle_json_int(doc["t"], "t")
+    if abs(t) > MAX_JSON_EXPONENT:
+        raise SchemaError("field 't' must have |t| <= %d"
+                          % MAX_JSON_EXPONENT)
+    pw = doc["pow"]
+    if not isinstance(pw, int) or isinstance(pw, bool) or pw < 0:
+        raise SchemaError("pow must be a non-negative integer")
+    if pw > MAX_JSON_EXPONENT:
+        raise SchemaError("pow must be at most %d" % MAX_JSON_EXPONENT)
+    return element(num, pw, t, k)
+
+
+def oracle_ring_from_json(doc):
+    if not isinstance(doc, dict):
+        raise SchemaError("ring element must be a JSON object")
+    k = doc.get("k")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise SchemaError("ring element needs an integer field 'k'")
+    terms = doc.get("terms")
+    if not isinstance(terms, list):
+        raise SchemaError("ring element needs a list field 'terms'")
+    acc = {}
+    for item in terms:
+        if not isinstance(item, dict) or set(item) != {"coeff", "elt"}:
+            raise SchemaError("each term needs exactly 'coeff' and 'elt'")
+        c = oracle_json_int(item["coeff"], "coeff")
+        g = tuple(oracle_element_from_json(item["elt"], k))
+        acc[g] = acc.get(g, 0) + c
+    # oracle_element_from_json returns reduced elements, so only the
+    # zero sums are left to drop before the trusted constructor.
+    return GroupRingElt._raw(k, {g: c for g, c in acc.items() if c})

@@ -14,7 +14,7 @@ from bsfour import bsgroup
 from bsfour.bsgroup import BSElement
 from bsfour.errors import SchemaError, WordSyntaxError
 
-from support import x_fraction
+from support import element, x_fraction
 
 KS = [k for k in range(-5, 6)]
 KS_NONZERO = [k for k in KS if k != 0]
@@ -100,7 +100,7 @@ def test_affine_oracle(k):
         x, t = affine_eval(w, k)
         assert x_fraction(g, k) == x
         assert g.t == t
-        assert bsgroup.element(g.num, g.pow, g.t, k) == g  # reduced
+        assert element(g.num, g.pow, g.t, k) == g  # reduced
 
 
 def test_quotient_evaluation_k0():
@@ -157,13 +157,13 @@ def test_free_word_helpers():
 
 
 def test_element_constructor_reduces():
-    assert bsgroup.element(4, 2, 0, 2) == BSElement(1, 0, 0)
-    assert bsgroup.element(6, 2, 5, 2) == BSElement(3, 1, 5)
-    assert bsgroup.element(0, 3, 1, 7) == BSElement(0, 0, 1)
-    assert bsgroup.element(5, 9, -2, 1) == BSElement(5, 0, -2)
-    assert bsgroup.element(3, 4, 2, 0) == BSElement(0, 0, 2)
+    assert element(4, 2, 0, 2) == BSElement(1, 0, 0)
+    assert element(6, 2, 5, 2) == BSElement(3, 1, 5)
+    assert element(0, 3, 1, 7) == BSElement(0, 0, 1)
+    assert element(5, 9, -2, 1) == BSElement(5, 0, -2)
+    assert element(3, 4, 2, 0) == BSElement(0, 0, 2)
     # negative modulus: |k| is what matters
-    assert bsgroup.element(9, 2, 0, -3) == BSElement(1, 0, 0)
+    assert element(9, 2, 0, -3) == BSElement(1, 0, 0)
 
 
 def test_json_round_trip():

@@ -22,6 +22,8 @@ from bsfour.groupring import GroupRingElt
 from bsfour.hermform import HermitianForm
 from bsfour.invariants import ManifoldDescriptor, W2Type
 
+from support import element
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -220,6 +222,20 @@ def test_realize_requires_certificate(capsys, tmp_path):
     assert doc["count"] == 1
 
 
+def test_try_invert_certifies_bare_e8(capsys, tmp_path):
+    e8 = hermform.from_integer_matrix(3, intlinalg.e8_matrix())
+    p = write(tmp_path / "e8.json", HermitianForm(3, e8.matrix).to_json())
+    doc = run_json(capsys, "form", p, "--try-invert")
+    assert doc["summary"]["certificated"] is True
+    assert doc["form"]["inverse"] == e8.to_json()["inverse"]
+    code, _ = run(capsys, "realize", p)
+    assert code == 2
+    doc = run_json(capsys, "realize", p, "--try-invert")
+    assert doc["count"] >= 1
+    for d in doc["descriptors"]:
+        assert d["form"]["inverse"] == e8.to_json()["inverse"]
+
+
 def test_report_rows(capsys):
     doc = run_json(capsys, "report", "--k-range", "2..3")
     assert [r["k"] for r in doc["rows"]] == [2, 3]
@@ -357,6 +373,30 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path):
             assert captured.out == ""
             assert captured.err.count("\n") == 1
             assert captured.err.startswith("error: %s: " % bad)
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"{1: 2}", "Expecting property name enclosed in double quotes"),
+    (b'{"k": 2, "matrix": []}\xff', "'utf-8' codec can't decode byte 0xff"),
+    (b"9" * 5000, "a JSON number has more than 4300 digits"),
+], ids=["not JSON", "not UTF-8", "5000 digits"])
+def test_unreadable_json_names_its_file(capsys, tmp_path, content, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    d = write(tmp_path / "d.json", ManifoldDescriptor(
+        2, hermform.hyperbolic(2, 1), W2Type.II, 0).to_json())
+    for argv in (("form", str(bad)),
+                 ("realize", str(bad), "--try-invert"),
+                 ("classify", str(bad), d),
+                 ("classify", d, str(bad)),
+                 ("classify", d, d, "--isometry", str(bad))):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: %s: %s" % (bad, reason))
+        assert "set_int_max_str_digits" not in captured.err
 
 
 def test_one_complex_per_command(capsys, monkeypatch):
@@ -585,7 +625,7 @@ def element_limit_form(t, k=3, pow=None):
     instead, written out by hand since the reader is what is under
     test."""
     if pow is None:
-        g = bsgroup.element(1, 0, t, k)
+        g = element(1, 0, t, k)
         x = GroupRingElt(k, {tuple(g): 1,
                              tuple(bsgroup.invert(g, k)): 1}).to_json()
     else:

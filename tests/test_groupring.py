@@ -13,7 +13,7 @@ from bsfour import bsgroup
 from bsfour.errors import GroupMismatchError, SchemaError
 from bsfour.groupring import FreeRingElt, GroupRingElt
 
-from support import geometric_series, random_ring_elt
+from support import element, geometric_series, random_ring_elt
 
 KS = [k for k in range(-4, 5)]
 
@@ -52,8 +52,8 @@ def test_involute_frozen_example():
     # (ab)^-1 has normal form x = -1, t = -1 since ab = b^3 a.
     k = 3
     p = (GroupRingElt.one(k) - mono(k, "a")) * mono(k, "b")
-    expected = (GroupRingElt.monomial(k, bsgroup.element(-1, 0, 0, k))
-                - GroupRingElt.monomial(k, bsgroup.element(-1, 0, -1, k)))
+    expected = (GroupRingElt.monomial(k, element(-1, 0, 0, k))
+                - GroupRingElt.monomial(k, element(-1, 0, -1, k)))
     assert p.involute() == expected
 
 

@@ -19,7 +19,8 @@ from bsfour.hermform import (HermitianForm, Parity, congruence, hyperbolic,
                              isometry_inverse, parity, try_invert,
                              verify_inverse, verify_isometry)
 
-from support import random_ring_elt, random_unit_triangular, sesquilinear
+from support import (random_ring_elt, random_unimodular,
+                     random_unit_triangular, sesquilinear)
 
 one = GroupRingElt.one
 zero = GroupRingElt.zero
@@ -149,6 +150,39 @@ def test_try_invert_examples():
     # augments to 0 so the fast determinant test rejects it
     p = one(k) - GroupRingElt.from_word(k, "a")
     f = HermitianForm(k, ((zero(k), p.involute()), (p, zero(k))))
+    assert try_invert(f) is None
+
+
+def test_try_invert_lifts_the_integer_inverse_of_a_constant_form():
+    E = intlinalg.e8_matrix()
+    for k in (2, 3, -2, 0, 1):
+        # E8: no +-g pivot takes elimination through it
+        bare = HermitianForm(k, const_form(k, E).matrix)
+        assert hermform.invert_matrix(bare.matrix, k) is None
+        C = try_invert(bare)
+        assert C == const_form(k, E).inverse
+        assert verify_inverse(bare, C)
+        # where elimination does invert a constant form, the certificate
+        # is the same: a two-sided inverse is unique
+        rng = random.Random(4100 + k)
+        eliminated = 0
+        for M in ([[1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]],
+                  [[2, 1], [1, 1]]) * 3:
+            n = len(M)
+            T = random_unimodular(rng, n)
+            S = [[sum(T[a][i] * M[a][b] * T[b][j] for a in range(n)
+                      for b in range(n)) for j in range(n)]
+                 for i in range(n)]
+            f = HermitianForm(k, const_form(k, S).matrix)
+            W = hermform.invert_matrix(f.matrix, k)
+            if W is not None:
+                eliminated += 1
+                assert try_invert(f) == W
+            else:
+                assert verify_inverse(f, try_invert(f))
+        assert eliminated >= 4
+    # not unimodular: no certificate
+    f = HermitianForm(2, const_form(2, [[2, 1], [1, 2]]).matrix)
     assert try_invert(f) is None
 
 

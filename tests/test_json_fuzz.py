@@ -2,7 +2,9 @@
 
 BSElement.from_json, GroupRingElt.from_json and hermform.matrix_from_json
 either return a value or raise SchemaError on any document, never another
-exception; HermitianForm.from_json and ManifoldDescriptor.from_json raise
+exception, and the first two give what the readers they replaced, kept
+in tests/support.py, give: the same terms in the same order, or the same
+message; HermitianForm.from_json and ManifoldDescriptor.from_json raise
 only BsfourError (a certificate that fails, an inconsistent descriptor).
 Valid values survive to_json -> json.dumps -> from_json with identical
 bytes.  The malformed documents are built from valid ones with fields
@@ -29,7 +31,8 @@ from bsfour.groupring import GroupRingElt
 from bsfour.hermform import ARF_ASSERTED, ArfTag, HermitianForm
 from bsfour.invariants import ManifoldDescriptor, realize
 
-from support import random_unit_triangular
+from support import (element, oracle_element_from_json, oracle_json_int,
+                     oracle_ring_from_json, random_unit_triangular)
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 database=None)
@@ -139,14 +142,64 @@ def test_matrix_reader_raises_only_schema_error(doc):
                    lambda km: hermform.matrix_to_json(km[1], km[0]))
 
 
+def outcome(read, doc):
+    """What read does with doc: its value as plain data, or the message
+    of the SchemaError it raises."""
+    try:
+        value = read(doc)
+    except SchemaError as exc:
+        return "SchemaError", str(exc)
+    if isinstance(value, GroupRingElt):
+        return value.k, list(value.terms.items())  # insertion order too
+    return type(value), value
+
+
+# Terms over a few elements that reduce to the same key at k = +-2, with
+# coefficients that cancel, so that sums, zero sums and keys that come
+# back after one are read.
+colliding_terms = st.lists(st.fixed_dictionaries({
+    "coeff": st.integers(-2, 2).map(str),
+    "elt": st.sampled_from([{"num": "1", "pow": 0, "t": "0"},
+                            {"num": "2", "pow": 1, "t": "0"},
+                            {"num": "4", "pow": 2, "t": "0"},
+                            {"num": "0", "pow": 3, "t": "1"},
+                            {"num": "0", "pow": 0, "t": "1"}])}), max_size=8)
+
+
+@FUZZ
+@given(st.one_of(ring_docs(any_k),
+                 st.builds(lambda k, terms: {"k": k, "terms": terms},
+                           st.sampled_from([2, -2, 3]), colliding_terms)))
+def test_ring_reader_agrees_with_its_oracle(doc):
+    assert outcome(GroupRingElt.from_json, doc) == outcome(
+        oracle_ring_from_json, doc)
+
+
+@FUZZ
+@given(element_docs, any_k)
+def test_element_reader_agrees_with_its_oracle(doc, k):
+    assert outcome(lambda d: BSElement.from_json(d, k), doc) == outcome(
+        lambda d: oracle_element_from_json(d, k), doc)
+
+
+@FUZZ
+@given(st.one_of(int_texts, junk,
+                 st.sampled_from(["9" * 4300, "-" + "9" * 4300,
+                                  "9" * 4301, "+" + "9" * 4300])),
+       st.sampled_from(["num", "t", "coeff"]))
+def test_int_reader_agrees_with_its_oracle(value, name):
+    assert outcome(lambda v: bsgroup._json_int(v, name), value) == outcome(
+        lambda v: oracle_json_int(v, name), value)
+
+
 elements = st.builds(
-    lambda num, pw, t, k: (bsgroup.element(num, pw, t, k), k),
+    lambda num, pw, t, k: (element(num, pw, t, k), k),
     st.integers(), st.integers(0, MAX_JSON_EXPONENT),
     st.integers(-MAX_JSON_EXPONENT, MAX_JSON_EXPONENT), ks)
 
 
 def ring_elts(k):
-    g = st.builds(lambda num, pw, t: tuple(bsgroup.element(num, pw, t, k)),
+    g = st.builds(lambda num, pw, t: tuple(element(num, pw, t, k)),
                   st.integers(), st.integers(0, MAX_JSON_EXPONENT),
                   st.integers(-MAX_JSON_EXPONENT, MAX_JSON_EXPONENT))
     return st.dictionaries(g, st.integers(), max_size=4).map(

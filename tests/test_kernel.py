@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from bsfour import _kernel, bsgroup
 
-from support import x_fraction
+from support import element, x_fraction
 
 KS = (0, 1, -1, 2, -2, 3, -3, 6, -10)
 
@@ -25,7 +25,7 @@ def elements(k):
     a multiple of |k| before reduction."""
     kq = abs(k)
     return st.builds(
-        lambda m, j, pw, t: tuple(bsgroup.element(m * kq ** j, pw, t, k)),
+        lambda m, j, pw, t: tuple(element(m * kq ** j, pw, t, k)),
         st.integers(-20, 20), st.integers(0, 2), st.integers(0, 6),
         st.integers(-8, 8))
 
@@ -107,7 +107,7 @@ def test_unit_k_products_cost_no_work_per_exponent():
     t = bsgroup.MAX_JSON_EXPONENT
     for k in (0, 1, -1):
         counts = {lines_run(_kernel.ring_addmul, {}, {g1: 1}, {g2: 1}, k)
-                  for g1 in (bsgroup.element(1, 0, s, k) for s in (-t, t))
-                  for g2 in (bsgroup.element(1, 0, 0, k),
-                             bsgroup.element(-1, 0, -t, k))}
+                  for g1 in (element(1, 0, s, k) for s in (-t, t))
+                  for g2 in (element(1, 0, 0, k),
+                             element(-1, 0, -t, k))}
         assert max(counts) < 30, (k, counts)

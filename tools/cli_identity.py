@@ -1,0 +1,217 @@
+"""Compare the bsfour command line of two source trees, byte for byte.
+
+    python3 tools/cli_identity.py OLD_SRC NEW_SRC
+
+Runs one fixed command set through bsfour.cli.main, in-process, once
+per tree, each tree in a subprocess of its own, and prints the first
+command whose exit code, stdout or stderr differ, or the number of
+commands that agree.  Exits 0 when every command agrees, 1 at the first
+difference and 2 when a subprocess fails.
+
+The command set:
+
+- every bsfour line of the "Command line" block of README.md, with and
+  without each optional [part], each with and without --pretty; the
+  files the lines name are written first (f.json the hyperbolic plane
+  over k = 2, d1.json and d2.json its descriptor, u.json the identity);
+- on every document the cli-docs benchmark workload writes for seeds 1
+  and 2: form, form --pretty, form --try-invert, realize,
+  realize --pretty and realize --try-invert;
+- each classify of that workload, with and without its --isometry,
+  with and without --pretty.
+
+Each subprocess writes the documents with its own tree, through
+layerbench/workloads.py (imported, never changed), into a fresh
+directory that it runs in, so paths in messages agree; the directories
+are removed at the end.  The names and SHA-256 digests of the
+documents are compared first.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (1, 2)
+
+
+def readme_commands():
+    """argv lists of the README's command lines, optional parts in and
+    out."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    out = []
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line.startswith("bsfour "):
+            continue
+        # tokens with the [optional] groups marked: (group index, token)
+        tokens, group, groups = [], None, 0
+        for tok in shlex.split(line)[1:]:
+            if tok.startswith("["):
+                group, groups = groups, groups + 1
+                tok = tok[1:]
+            end = tok.endswith("]")
+            tokens.append((group, tok.rstrip("]")))
+            if end:
+                group = None
+        for mask in range(2 ** groups):
+            out.append([tok for g, tok in tokens
+                        if g is None or mask >> g & 1])
+    return out
+
+
+def write_readme_files():
+    from bsfour import hermform, invariants
+    from bsfour.groupring import GroupRingElt
+    f = hermform.hyperbolic(2, 1)
+    d = invariants.ManifoldDescriptor(2, f, invariants.W2Type.II, 0)
+    one, zero = GroupRingElt.one(2), GroupRingElt.zero(2)
+    docs = {"f.json": f.to_json(), "d1.json": d.to_json(),
+            "d2.json": d.to_json(),
+            "u.json": hermform.matrix_to_json(((one, zero), (zero, one)), 2)}
+    for name, doc in docs.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+
+
+def docs_commands(workloads, seed):
+    """The commands on the cli-docs documents of one seed."""
+    workdir = "seed%d" % seed
+    os.mkdir(workdir)
+    ops = workloads.setup_cli_docs(seed, workdir)
+    out = []
+    for name in sorted(os.listdir(workdir)):
+        path = os.path.join(workdir, name)
+        for cmd in ("form", "realize"):
+            out += [[cmd, path], [cmd, path, "--pretty"],
+                    [cmd, path, "--try-invert"]]
+    for op in ops:
+        if op.inputs[0] != "classify":
+            continue
+        # an input "name:digest" is a document of workdir
+        argv = [os.path.join(workdir, arg.split(":")[0]) if ":" in arg
+                else arg for arg in op.inputs]
+        variants = [argv]
+        if "--isometry" in argv:
+            variants.append(argv[:argv.index("--isometry")])
+        for v in variants:
+            out += [v, v + ["--pretty"]]
+    return out
+
+
+def digests(paths):
+    out = {}
+    for path in paths:
+        with open(path, "rb") as fh:
+            out[path] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def child(src, workdir):
+    """Write the documents into workdir, then one JSON line per command
+    to stdout."""
+    sys.path[:0] = [src, os.path.join(ROOT, "layerbench")]
+    from bsfour import cli
+    import workloads
+    emit = sys.stdout
+    os.chdir(workdir)
+    write_readme_files()
+    commands = []
+    for argv in readme_commands():
+        commands += [argv, argv + ["--pretty"]]
+    for seed in SEEDS:
+        commands += docs_commands(workloads, seed)
+    paths = sorted(os.path.join(d, n) for d in ["."] + [
+        "seed%d" % s for s in SEEDS] for n in os.listdir(d)
+        if n.endswith(".json"))
+    emit.write(json.dumps({"documents": digests(paths)}) + "\n")
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(list(argv))
+        emit.write(json.dumps({"argv": argv, "rc": rc, "stdout":
+                               out.getvalue(), "stderr": err.getvalue()})
+                   + "\n")
+    emit.flush()
+
+
+def first_difference(a, b):
+    """The first line on which the texts a and b differ, as a message."""
+    la, lb = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(la, lb)):
+        if x != y:
+            return "line %d:\n  old: %r\n  new: %r" % (i + 1, x, y)
+    if len(la) != len(lb):
+        return "line count %d -> %d" % (len(la), len(lb))
+    return "trailing bytes differ: %r -> %r" % (a[-20:], b[-20:])
+
+
+def compare(old_src, new_src, tmp):
+    procs = []
+    for side, src in (("old", old_src), ("new", new_src)):
+        workdir = os.path.join(tmp, side)
+        os.mkdir(workdir)
+        procs.append(subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--child",
+             os.path.abspath(src), workdir],
+            stdout=subprocess.PIPE, text=True))
+    try:
+        count = 0
+        for line_old, line_new in zip(procs[0].stdout, procs[1].stdout):
+            old, new = json.loads(line_old), json.loads(line_new)
+            if "documents" in old:
+                if old != new:
+                    a, b = old["documents"], new["documents"]
+                    print("the documents differ, first at %s" % min(
+                        p for p in set(a) | set(b) if a.get(p) != b.get(p)))
+                    return 1
+                print("%d documents, byte-identical"
+                      % len(old["documents"]))
+                continue
+            for key in ("rc", "stdout", "stderr"):
+                if old[key] != new[key]:
+                    print("bsfour %s: %s differs" % (shlex.join(old["argv"]),
+                                                     key))
+                    if key == "rc":
+                        print("  old: %r\n  new: %r" % (old[key], new[key]))
+                    else:
+                        print(first_difference(old[key], new[key]))
+                    return 1
+            count += 1
+        rest = [p.stdout.read() for p in procs]
+        codes = [p.wait() for p in procs]
+        if any(codes):
+            print("a run failed, exit codes %r" % codes)
+            return 2
+        if any(rest):
+            print("the runs gave different numbers of commands")
+            return 1
+        print("%d commands: exit code, stdout and stderr identical" % count)
+        return 0
+    finally:
+        for p in procs:
+            p.kill()
+            p.wait()
+
+
+def main(argv):
+    if len(argv) == 3 and argv[0] == "--child":
+        child(argv[1], argv[2])
+        return 0
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 64
+    with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
+        return compare(argv[0], argv[1], tmp)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
