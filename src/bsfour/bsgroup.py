@@ -50,15 +50,21 @@ class BSElement(NamedTuple):
         return cls(*g)
 
 
-def _json_element(num, pow, t):
+def _json_decimal(value, owner, field):
+    """The decimal string of an integer field of a result, or a one-line
+    error that names the digit limit the JSON readers apply to it."""
     try:
-        num = str(num)
+        return str(value)
     except ValueError:  # str() and int() share the digit limit
         raise BsfourError(
-            "a group element of the result has a num of more than %d"
-            " digits, the most the JSON readers accept"
-            % sys.get_int_max_str_digits()) from None
-    return {"num": num, "pow": pow, "t": str(t)}
+            "%s of the result has a %s of more than %d digits, the most"
+            " the JSON readers accept"
+            % (owner, field, sys.get_int_max_str_digits())) from None
+
+
+def _json_element(num, pow, t):
+    return {"num": _json_decimal(num, "a group element", "num"),
+            "pow": pow, "t": str(t)}
 
 
 def _json_int(value, field):

@@ -16,7 +16,7 @@ the terms from the sorted keys directly.
 """
 
 from . import _kernel, bsgroup
-from .bsgroup import _json_element, _json_terms
+from .bsgroup import _json_decimal, _json_element, _json_terms
 from .errors import GroupMismatchError, SchemaError
 
 _IDENT = (0, 0, 0)
@@ -148,7 +148,9 @@ class GroupRingElt:
     def to_json(self):
         terms = self.terms
         return {"k": self.k,
-                "terms": [{"coeff": str(terms[g]), "elt": _json_element(*g)}
+                "terms": [{"coeff": _json_decimal(terms[g], "a ring element",
+                                                  "coeff"),
+                           "elt": _json_element(*g)}
                           for g in sorted(terms, key=bsgroup.sort_key)]}
 
     @classmethod

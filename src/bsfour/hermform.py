@@ -11,15 +11,19 @@ from invert_matrix, Gauss-Jordan elimination with trivial-unit pivots
 +-g: sound, not complete, and never failing on a unit triangular
 matrix.  A product is compared with 1 entry by entry, as it is summed.
 For a hermitian A the one product A C = 1 is checked: it implies
-C A = 1 (the proof is at _is_hermitian_inverse).  A certificate that
-congruence transports is derived from checked factors, not multiplied
-out again (the proof is at congruence).  A form that congruence builds
-keeps the factors L = U^T A and involute(U) of its matrix, and
-verify_inverse multiplies a certificate C through them: L (involute(U) C)
-equals the matrix times C, and that full product is still compared
-with 1 entry by entry (the proof is at verify_inverse).  Forms are
-read-only, so a certificate once checked stays attached to its matrix,
-and a transported form to its factors.  Parity reads the identity
+C A = 1 (the proof is at _is_hermitian_inverse).  Two certificates are
+derived from checked parts, not multiplied out again: the one that
+congruence transports (the proof is at congruence) and the
+block-diagonal one of an orthogonal sum (the proof is at
+orthogonal_sum).  congruence multiplies out only the entries on and
+above the diagonal of the transported matrix and of its certificate,
+which are hermitian by theorem, and fills the rest by the involution.
+A form that congruence builds from A by U keeps A, Ubar = involute(U)
+and W* for the checked W = Ubar^-1, and verify_inverse decides
+U^T A Ubar C = 1 by comparing A (Ubar C) with W* entry by entry (the
+proof is at verify_inverse).  Forms are read-only, so a certificate
+once checked stays attached to its matrix, and a transported form to
+its factors.  Parity reads the identity
 coefficients of the diagonal; cross terms contribute
 lambda + conjugate(lambda), which has even identity coefficient, so the
 diagonal rule agrees with evaluation parity.  The augmented form is the
@@ -79,13 +83,13 @@ def _freeze(rows):
     return tuple(tuple(row) for row in rows)
 
 
-def _row_times(row, B, k):
-    """The entries of the product of a row vector and B, as term
-    dicts, one at a time."""
+def _row_times(row, B, k, start=0):
+    """The entries of the product of a row vector and B, from column
+    start on, as term dicts, one at a time."""
     # a zero entry contributes nothing: the kernel is called only when
     # both operands have terms
     live = [(Bp, x.terms) for Bp, x in zip(B, row) if x.terms]
-    for j in range(len(B[0])):
+    for j in range(start, len(B[0])):
         acc = {}
         for Bp, a in live:
             b = Bp[j].terms
@@ -99,6 +103,19 @@ def mat_mul(A, B, k):
         return ()
     return tuple(tuple(GroupRingElt._raw(k, acc)
                        for acc in _row_times(row, B, k)) for row in A)
+
+
+def _hermitian_product(A, B, k):
+    """A B for square A and B whose product is hermitian by theorem:
+    the entries on and above the diagonal are multiplied out, and each
+    one below is the involute of its mirror image."""
+    P = [[None] * len(A) for _ in A]
+    for i, row in enumerate(A):
+        for j, acc in enumerate(_row_times(row, B, k, i), i):
+            P[i][j] = GroupRingElt._raw(k, acc)
+            if j > i:
+                P[j][i] = P[i][j].involute()
+    return _freeze(P)
 
 
 def mat_transpose(A):
@@ -118,13 +135,15 @@ def _is_square(C, n):
     return len(C) == n and all(len(r) == n for r in C)
 
 
-def _product_is_identity(A, C, k):
-    """True iff A C = 1, for A and C square of one size.  The product
-    is never held: each entry is compared as soon as it is summed, so a
-    wrong C fails at its first wrong entry."""
+def _product_is(A, C, T, k):
+    """True iff A C = T, for A, C and T square of one size, or T = 1.
+    The product is never held: each entry is compared as soon as it is
+    summed, so the check stops at the first entry that differs."""
     for i, row in enumerate(A):
+        want = None if T == 1 else T[i]
         for j, acc in enumerate(_row_times(row, C, k)):
-            if acc != (_ONE if i == j else {}):
+            if acc != (want[j].terms if want is not None
+                       else _ONE if i == j else {}):
                 return False
     return True
 
@@ -133,8 +152,8 @@ def _is_inverse(A, C, k):
     """True iff C is a two-sided inverse of the square matrix A: the
     shape first, then A C = 1, then C A = 1."""
     return (_is_square(C, len(A))
-            and _product_is_identity(A, C, k)
-            and _product_is_identity(C, A, k))
+            and _product_is(A, C, 1, k)
+            and _product_is(C, A, 1, k))
 
 
 def _is_hermitian_inverse(A, C, k):
@@ -143,7 +162,7 @@ def _is_hermitian_inverse(A, C, k):
     # For A = A*, A C = 1 already gives C A = 1.  Star is an
     # anti-automorphism with 1* = 1, so applying it to A C = 1 gives
     # C* A = 1.  Then C* = C* (A C) = (C* A) C = C, and C A = C* A = 1.
-    return _is_square(C, len(A)) and _product_is_identity(A, C, k)
+    return _is_square(C, len(A)) and _product_is(A, C, 1, k)
 
 
 def _check_entries(k, rows, what):
@@ -194,9 +213,11 @@ class HermitianForm:
     _certifies = staticmethod(_is_hermitian_inverse)
 
     @property
-    def _factors(self):
-        # matrices whose product, left to right, is the form matrix
-        return (self.matrix,)
+    def _check(self):
+        # (factors, target) for verify_inverse: the form matrix times C
+        # is 1 exactly when the factors, times C from the right one by
+        # one, give the target; 1 stands for the identity
+        return (self.matrix,), 1
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianForm is read-only")
@@ -294,8 +315,8 @@ def hyperbolic(k, r):
 
 def _constants(k, M):
     """An integer matrix as a matrix of constants of the group ring."""
-    return _freeze([[GroupRingElt.one(k) * int(x) for x in row]
-                    for row in M])
+    return _freeze([[GroupRingElt._raw(k, {(0, 0, 0): int(x)} if x else {})
+                     for x in row] for row in M])
 
 
 def from_integer_matrix(k, M):
@@ -309,6 +330,12 @@ def from_integer_matrix(k, M):
 
 
 def orthogonal_sum(f, g):
+    """The block-diagonal form f + g.  Its certificate, when both
+    summands have one, is the block-diagonal matrix of theirs, derived
+    without a product (the proof is below), so both summands must be
+    HermitianForms, whose certificates were checked or derived."""
+    if not isinstance(f, HermitianForm) or not isinstance(g, HermitianForm):
+        raise TypeError("orthogonal_sum takes two HermitianForms")
     if f.k != g.k:
         raise GroupMismatchError("orthogonal sum across different k")
     k = f.k
@@ -328,7 +355,11 @@ def orthogonal_sum(f, g):
         mode = (ARF_EXTENDED if f.arf.mode == g.arf.mode == ARF_EXTENDED
                 else ARF_ASSERTED)
         arf = ArfTag(mode, f.arf.value ^ g.arf.value)
-    return HermitianForm(k, block(f.matrix, g.matrix), cert, arf)
+    # Block-diagonal matrices multiply block by block, so
+    # diag(A, B) diag(C, D) = diag(A C, B D) = diag(1, 1) = 1, where C
+    # and D are the summands' certificates: checked or derived when f
+    # and g were built, and forms are read-only.
+    return _DerivedForm(k, block(f.matrix, g.matrix), cert, arf)
 
 
 def _add_product(acc, p, q, k):
@@ -420,43 +451,50 @@ def try_invert(f):
 
 def verify_inverse(f, C):
     """True iff C is the inverse of the form matrix, checked by exact
-    multiplication: the shape first, then one product compared with 1
-    (the matrix is hermitian).  The product is taken through the
-    factors of the matrix that the form keeps: for a form transported
-    by U, C is multiplied by involute(U) first and the result by U^T
-    times the source form's matrix."""
-    # The factors multiply out, left to right, to the form matrix A
-    # exactly: (A,) for a plain form, and (L, Ubar) for a transported
-    # one, whose matrix _TransportedForm computed as L Ubar (forms are
-    # read-only, so the factors stay those of A).  Matrix multiplication
-    # over a ring is associative, so A C = L (Ubar C), and
-    # _product_is_identity compares that full product with 1 entry by
-    # entry: the verdict is the one A C = 1 gives, for every C, and a
-    # wrong C still fails at the first wrong entry of that product.
-    # Only the cost differs: for the transported certificate
-    # C = W C0 W*, Ubar W = 1 leaves Ubar C = C0 W*, far sparser than C.
+    multiplication.  C's entries are checked as the constructor checks
+    a certificate's, then its shape, then one product (the matrix is
+    hermitian).  For a plain form the matrix times C is compared with 1.
+    For a form that congruence transported from A by U, A (Ubar C) is
+    compared with W*, where Ubar = involute(U) and W = Ubar^-1 was
+    checked when the form was built."""
+    # The form keeps factors F1, ..., Fm and a target T such that its
+    # matrix A2 has A2 C = 1 exactly when F1 (... (Fm C)) = T.  For a
+    # plain form that is ((A2,), 1), and there is nothing to prove.  A
+    # form congruence built from A by U keeps ((A, Ubar), W*), and
+    # A2 = U^T A Ubar exactly (the proof is at congruence).
+    # invert_matrix checked W Ubar = Ubar W = 1.  Star is an
+    # anti-automorphism with Ubar* = U^T and 1* = 1, so U^T W* = 1 and
+    # W* U^T = 1.  By associativity A2 C = U^T Y with Y = A (Ubar C).
+    # If Y = W*, then A2 C = U^T W* = 1.  If U^T Y = 1, then
+    # Y = (W* U^T) Y = W* (U^T Y) = W*.  So Y = W* exactly when A2 C = 1,
+    # and the verdict is the direct product's, for every C.  The check
+    # trusts nothing C provides: A is the source form's matrix and W was
+    # checked, and forms are read-only.  Only the cost differs: for the
+    # transported certificate C = W C0 W*, Ubar C = C0 W*, far sparser
+    # than C, and no product with L = U^T A is taken.
     C = _freeze(C)
+    _check_entries(f.k, C, "certificate")
     if not _is_square(C, f.rank):
         return False
-    first, *rest = f._factors
+    (first, *rest), target = f._check
     for F in reversed(rest):
         C = mat_mul(F, C, f.k)
-    return _product_is_identity(first, C, f.k)
+    return _product_is(first, C, target, f.k)
 
 
-class _TransportedForm(HermitianForm):
-    """A form built by congruence from its factors L = U^T A and
-    Ubar = involute(U): the matrix is L Ubar.  Its certificate is exact
-    by construction from checked factors (the proof is at congruence),
-    so only the certificate's product with the matrix is skipped; the
-    shape, entry and hermitian checks still run.  The factors are kept
-    for verify_inverse."""
+class _DerivedForm(HermitianForm):
+    """A form whose certificate is derived from checked parts, not
+    multiplied out: by congruence, from the source form and the checked
+    W, or by orthogonal_sum, from the two summands.  Only the product
+    of the certificate with the matrix is skipped; the shape, entry and
+    hermitian checks still run.  check is verify_inverse's (factors,
+    target), ((matrix,), 1) when not given."""
 
-    __slots__ = ("_factors",)
+    __slots__ = ("_check",)
 
-    def __init__(self, k, L, ubar, inverse, arf):
-        super().__init__(k, mat_mul(L, ubar, k), inverse, arf)
-        object.__setattr__(self, "_factors", (L, ubar))
+    def __init__(self, k, matrix, inverse, arf, check=None):
+        super().__init__(k, matrix, inverse, arf)
+        object.__setattr__(self, "_check", check or ((self.matrix,), 1))
 
     @staticmethod
     def _certifies(matrix, inverse, k):
@@ -464,8 +502,12 @@ class _TransportedForm(HermitianForm):
 
 
 def congruence(f, U):
-    """The form U^T A involute(U), certificate transported when
-    possible.  U must be square of matching rank."""
+    """The form U^T A involute(U).  When f has a certificate C and
+    W = involute(U)^-1 is found, the form gets W C W* and keeps A,
+    involute(U) and W* for verify_inverse; otherwise it is a plain form
+    without a certificate.  Both products are hermitian, so only their
+    entries on and above the diagonal are multiplied out and the rest
+    are filled by the involution.  U must be square of matching rank."""
     if not isinstance(f, HermitianForm):
         raise TypeError("congruence takes a HermitianForm")
     U = _freeze(U)
@@ -474,21 +516,27 @@ def congruence(f, U):
         raise ValueError("congruence matrix must match the rank")
     _check_entries(f.k, U, "congruence")
     k = f.k
-    ubar = mat_involute(U)
-    L = mat_mul(mat_transpose(U), f.matrix, k)
-    cert = None
-    if f.inverse is not None:
-        W = invert_matrix(ubar, k)
-        if W is not None:
-            cert = mat_mul(mat_mul(W, f.inverse, k), _star(W), k)
-    # The certificate C2 = W C W* of A2 = L Ubar = U^T A Ubar, with
-    # A = f.matrix and C = f.inverse, is correct without multiplying A2
-    # by C2.  A C = 1 because f is a HermitianForm (checked or derived
-    # when f was built, and forms are read-only), and W Ubar = Ubar W = 1
-    # because invert_matrix checked both products.  Since Ubar* = U^T,
+    # With A = f.matrix, C = f.inverse and W = Ubar^-1, the new matrix is
+    # A2 = U^T A Ubar and its certificate C2 = W C W*.  Both are
+    # hermitian.  A* = A was checked when f was built, and Ubar* = U^T,
+    # so A2* = Ubar* A* (U^T)* = A2.  C* = C, as the inverse of a
+    # hermitian matrix (see _is_hermitian_inverse), so C2* = W C W* = C2.
+    # So _hermitian_product fills the entries below the diagonal by the
+    # involution, and the matrices are U^T A Ubar and W C W* exactly.
+    # C2 is correct without multiplying A2 by C2.  A C = 1 because f is
+    # a HermitianForm (checked or derived when f was built, and forms are
+    # read-only), and W Ubar = Ubar W = 1 because invert_matrix checked
+    # both products.  Since Ubar* = U^T,
     #   A2 C2 = U^T A (Ubar W) C W* = U^T (A C) W* = U^T W* = (W Ubar)* = 1,
     # and A2 is hermitian, so C2 A2 = 1 as at _is_hermitian_inverse.
-    return _TransportedForm(k, L, ubar, cert, f.arf)
+    ubar = mat_involute(U)
+    A2 = _hermitian_product(mat_mul(mat_transpose(U), f.matrix, k), ubar, k)
+    W = invert_matrix(ubar, k) if f.inverse is not None else None
+    if W is None:
+        return HermitianForm(k, A2, None, f.arf)
+    wstar = _star(W)
+    C2 = _hermitian_product(mat_mul(W, f.inverse, k), wstar, k)
+    return _DerivedForm(k, A2, C2, f.arf, ((f.matrix, ubar), wstar))
 
 
 def verify_isometry(f, g, U):

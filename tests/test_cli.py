@@ -675,6 +675,24 @@ def test_result_beyond_digit_limit_exits_2(capsys, tmp_path):
     assert "4300" in line and "set_int_max_str_digits" not in line
 
 
+def test_result_coefficient_beyond_digit_limit_exits_2(capsys, tmp_path):
+    """The constant form [[0, 0, 1], [0, 1, a], [1, a, 0]] with
+    a = 10^4000 is read (4001 digits), and --try-invert finds its
+    inverse, whose entry a^2 has 8001 digits.  The error names the
+    coeff and the limit, not Python's remedy."""
+    a = 10 ** 4000
+    M = [[0, 0, 1], [0, 1, a], [1, a, 0]]
+    f = HermitianForm(2, [[GroupRingElt.one(2) * x for x in row] for row in M])
+    path = write(tmp_path / "form.json", f.to_json())
+    code = cli.main(["form", "--try-invert", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == ("error: a ring element of the result has a coeff of"
+                    " more than 4300 digits, the most the JSON readers"
+                    " accept")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["form"], 2),
     (["form", "--try-invert"], 0),

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from bsfour import _kernel, cli, hermform, intlinalg
-from bsfour.errors import CertificateError, SchemaError
+from bsfour.errors import CertificateError, GroupMismatchError, SchemaError
 from bsfour.groupring import GroupRingElt
 from bsfour.hermform import (HermitianForm, Parity, congruence, hyperbolic,
                              isometry_inverse, parity, try_invert,
@@ -596,7 +596,8 @@ def test_wrong_certificate_fails_at_its_first_entry(monkeypatch):
         HermitianForm(k, g.matrix, C)
     assert 0 < len(calls.operands) - start <= n
     # the transported form first multiplies C by involute(U) in full;
-    # the product then compared with 1 stops at its first entry
+    # the source matrix times that, compared with W*, stops at its
+    # first entry
     calls.products(lambda: hermform.mat_mul(hermform.mat_involute(U), C, k))
     factor = len(calls.last)
     verdict, _ = calls.products(lambda: verify_inverse(g, C))
@@ -651,35 +652,181 @@ def test_invert_matrix_adds_factors_of_one_directly(monkeypatch):
     assert [order(W) for W in got] == [order(W) for W in want]
 
 
+def _plain_transport(rng, k, r):
+    """congruence of H^r by U = M D, where M is the block sum of r
+    copies of the unimodular [[2, 5], [3, 8]] and D a diagonal of
+    monomials +-w: no entry of involute(U) is a trivial unit, so the
+    elimination finds no pivot and congruence returns a plain form.
+    Returns it with its inverse, built from the integer inverse of M."""
+    f = hyperbolic(k, r)
+    n = f.rank
+    M = [[0] * n for _ in range(n)]
+    for i in range(r):
+        M[2 * i][2 * i:2 * i + 2] = [2, 5]
+        M[2 * i + 1][2 * i:2 * i + 2] = [3, 8]
+    words = ["".join(rng.choice("aAbB") for _ in range(rng.randint(0, 3)))
+             for _ in range(n)]
+    D = [[GroupRingElt.from_word(k, words[i], rng.choice((-1, 1)))
+          if i == j else zero(k) for j in range(n)] for i in range(n)]
+    U = hermform.mat_mul(hermform._constants(k, M), D, k)
+    ubar = hermform.mat_involute(U)
+    assert hermform.invert_matrix(ubar, k) is None
+    # involute(U) = M involute(D), and involute(D)^-1 = D
+    W = hermform.mat_mul(D, hermform._constants(
+        k, intlinalg.unimodular_inverse(M)), k)
+    assert hermform._is_inverse(ubar, W, k)
+    g = congruence(f, U)
+    assert type(g) is HermitianForm and g.inverse is None
+    return g, hermform.mat_mul(hermform.mat_mul(W, f.inverse, k),
+                               hermform._star(W), k)
+
+
 def test_verify_inverse_agrees_with_the_direct_product():
-    """verify_inverse on a transported form multiplies through its
-    factors and gives the verdict of the direct product A C = 1: for
-    forms transported once and twice, over k of both signs, E8 among
-    them, and for the certificate, a tampered one and wrong shapes."""
+    """verify_inverse gives the verdict of the direct product A C = 1:
+    for forms transported once and twice, whose factors it multiplies
+    through and whose W* it compares with, and for plain forms that
+    congruence returns when the elimination finds no W; over k of both
+    signs, E8 among them; for the certificate, a tampered one, one
+    tampered only below the diagonal, and wrong shapes."""
     rng = random.Random(88)
     verdicts = set()
-    for i in range(24):
+    for i in range(32):
         k = (2, 3, -2, -3)[i % 4]
-        r, e8 = ((1, 0), (2, 0), (0, 1))[i % 3]
-        g = hermform.even_reference_form(k, r, e8)
-        for _ in range(1 + i % 2):
-            g = congruence(g, random_unit_triangular(rng, k, g.rank,
-                                                     max_terms=1))
+        if i >= 24:
+            g, C = _plain_transport(rng, k, 1 + i % 3)
+        else:
+            r, e8 = ((1, 0), (2, 0), (0, 1))[i % 3]
+            g = hermform.even_reference_form(k, r, e8)
+            for _ in range(1 + i % 2):
+                g = congruence(g, random_unit_triangular(rng, k, g.rank,
+                                                         max_terms=1))
+            C = g.inverse
         n = g.rank
-        C = [list(row) for row in g.inverse]
+        C = [list(row) for row in C]
         tampered = [list(row) for row in C]
-        x, y = rng.randrange(n), rng.randrange(n)
-        w = "".join(rng.choice("aAbB") for _ in range(rng.randint(0, 3)))
-        tampered[x][y] = tampered[x][y] + GroupRingElt.from_word(
-            k, w, rng.choice((-1, 1)))
+        below = [list(row) for row in C]
+        x = rng.randrange(1, n)
+        for D, (r, c) in ((tampered, (rng.randrange(n), rng.randrange(n))),
+                          (below, (x, rng.randrange(x)))):
+            w = "".join(rng.choice("aAbB") for _ in range(rng.randint(0, 3)))
+            D[r][c] = D[r][c] + GroupRingElt.from_word(
+                k, w, rng.choice((-1, 1)))
         shapes = (C[:-1], [row[:-1] for row in C],
                   [row + [zero(k)] for row in C] + [[zero(k)] * (n + 1)],
                   C[:-1] + [C[-1][:-1]])
-        for D in (g.inverse, tampered) + shapes:
+        for D in (C, tampered, below) + shapes:
             want = hermform._is_hermitian_inverse(g.matrix,
                                                   hermform._freeze(D), k)
             assert verify_inverse(g, D) == want
             verdicts.add(want)
-        assert verify_inverse(g, g.inverse) is True
+        assert verify_inverse(g, C) is True
         assert verify_inverse(g, tampered) is False
+        assert verify_inverse(g, below) is False
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("k", [2, -3])
+@pytest.mark.parametrize("r, e8", [(1, 0), (2, 0), (3, 0), (0, 1), (1, 1)])
+def test_congruence_is_the_full_products(k, r, e8):
+    """On every shape of the certify benchmark workload, the transported
+    matrix is (U^T A) Ubar and its certificate (W C) W*, entry for
+    entry, though congruence multiplies out only the entries on and
+    above the diagonal of each."""
+    rng = random.Random("congruence %d %d %d" % (k, r, e8))
+    f = hermform.even_reference_form(k, r, e8)
+    U = random_unit_triangular(rng, k, f.rank)
+    g = congruence(f, U)
+    mul = hermform.mat_mul
+    ubar = hermform.mat_involute(U)
+    W = hermform.invert_matrix(ubar, k)
+    A2 = mul(mul(hermform.mat_transpose(U), f.matrix, k), ubar, k)
+    C2 = mul(mul(W, f.inverse, k), hermform._star(W), k)
+    n = f.rank
+    for i in range(n):
+        for j in range(n):
+            assert g.matrix[i][j] == A2[i][j], (i, j)
+            assert g.inverse[i][j] == C2[i][j], (i, j)
+
+
+def test_verify_inverse_multiplies_through_ubar_and_the_source(monkeypatch):
+    """On a transported form, verify_inverse takes the products of
+    involute(U) C and of A X, for A the source form's matrix and X the
+    first product, and no other: none with L = U^T A."""
+    k = 2
+    f = hermform.even_reference_form(k, hyperbolics=1, e8_blocks=1)
+    U = random_unit_triangular(random.Random(89), k, f.rank, max_terms=1)
+    g = congruence(f, U)
+    ubar = hermform.mat_involute(U)
+    calls = _KernelCalls(monkeypatch)
+    X, first = calls.products(lambda: hermform.mat_mul(ubar, g.inverse, k))
+    first_sizes = calls.last_sizes
+    _, second = calls.products(lambda: hermform.mat_mul(f.matrix, X, k))
+    second_sizes = calls.last_sizes
+    verdict, spent = calls.products(lambda: verify_inverse(g, g.inverse))
+    assert verdict is True and spent == first + second
+    assert calls.last_sizes == first_sizes + second_sizes
+    m = len(first_sizes)
+    ubar_terms = [p.terms for row in ubar for p in row]
+    cert = [p.terms for row in g.inverse for p in row]
+    source = [p.terms for row in f.matrix for p in row]
+    for p, q in calls.last[:m]:
+        assert p in ubar_terms and any(q is t for t in cert)
+    for p, q in calls.last[m:]:
+        assert any(p is t for t in source)
+    # and the source is not L = U^T A
+    L = hermform.mat_mul(hermform.mat_transpose(U), f.matrix, k)
+    assert any(p.terms not in source for row in L for p in row)
+
+
+def test_orthogonal_sum_derives_its_certificate(monkeypatch):
+    """orthogonal_sum builds its block-diagonal certificate from the two
+    summands' with no ring product, and it is the inverse of the
+    block-diagonal matrix."""
+    k = -3
+    rng = random.Random(90)
+    f = random_certificated(rng, k, r=1)
+    g = random_certificated(rng, k, r=0, e8=1, entry_terms=1)
+    n, m = f.rank, g.rank
+    calls = _KernelCalls(monkeypatch)
+    s, spent = calls.products(lambda: hermform.orthogonal_sum(f, g))
+    assert calls.last == [] and spent == 0
+    for i in range(n + m):
+        for j in range(n + m):
+            for M, A, B in ((s.matrix, f.matrix, g.matrix),
+                            (s.inverse, f.inverse, g.inverse)):
+                want = (A[i][j] if i < n and j < n
+                        else B[i - n][j - n] if i >= n and j >= n
+                        else zero(k))
+                assert M[i][j] == want, (i, j)
+    assert hermform._is_inverse(s.matrix, s.inverse, k)
+    assert verify_inverse(s, s.inverse) is True
+
+
+def test_orthogonal_sum_refuses_a_summand_that_is_not_a_form():
+    """The block certificate is trusted only because each summand's was
+    checked when it was built, so a look-alike summand whose inverse is
+    wrong is refused rather than summed."""
+    h = hyperbolic(2, 1)
+
+    class LookAlike:
+        k, rank, matrix, arf = h.k, h.rank, h.matrix, h.arf
+        inverse = hermform._freeze([[one(2), zero(2)], [zero(2), one(2)]])
+
+    for f, g in ((h, LookAlike()), (LookAlike(), h)):
+        with pytest.raises(TypeError, match="HermitianForm"):
+            hermform.orthogonal_sum(f, g)
+
+
+@pytest.mark.parametrize("C, error", [
+    (hyperbolic(3, 1).matrix, GroupMismatchError),
+    ([[0, 1], [1, 0]], SchemaError),
+], ids=["other-k", "int-entries"])
+@pytest.mark.parametrize("transported", [False, True])
+def test_verify_inverse_checks_certificate_entries(C, error, transported):
+    """C's entries are checked as the constructor checks a certificate's:
+    ring elements over the form's k."""
+    f = hyperbolic(2, 1)
+    if transported:
+        f = congruence(f, random_unit_triangular(random.Random(91), 2, 2))
+    with pytest.raises(error, match="certificate"):
+        verify_inverse(f, C)
