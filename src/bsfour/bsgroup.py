@@ -43,12 +43,6 @@ class BSElement(NamedTuple):
     def to_json(self):
         return _json_element(*self)
 
-    @classmethod
-    def from_json(cls, doc, k):
-        # the element checks of _json_terms, on a term of coefficient 1
-        (g,) = _json_terms([{"coeff": 1, "elt": doc}], k)
-        return cls(*g)
-
 
 def _json_decimal(value, owner, field):
     """The decimal string of an integer field of a result, or a one-line

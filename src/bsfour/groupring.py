@@ -1,18 +1,19 @@
-"""Integral group rings: Z[B(k)] and the free ring Z[F(a, b)].
+"""The integral group ring Z[B(k)], and Fox derivatives as words.
 
-Elements are sparse integer combinations of group elements.  The free
-ring holds Fox derivatives as words, the form in which the fox command
-prints them; the projected derivatives that the chain complex uses are
-computed in Z[B(k)] directly (foxchain.build_complex).
-
+Elements of Z[B(k)] are sparse integer combinations of group elements.
 The involution extends g -> g^-1 linearly; it is an anti-automorphism.
 The augmentation sums coefficients; it is the ring map to Z induced by
 collapsing the group.
 
+FreeRingElt holds a Fox derivative as an integer combination of free
+words, for the fox command to print; it does no arithmetic.  The
+projected derivatives that the chain complex uses are computed in
+Z[B(k)] directly (foxchain.build_complex).
+
 JSON terms are read by one loop, bsgroup._json_terms, which
-GroupRingElt.from_json (and through it every matrix, form and
-descriptor reader) and BSElement.from_json both use.  to_json writes
-the terms from the sorted keys directly.
+GroupRingElt.from_json, and through it every matrix, form and
+descriptor reader, uses.  to_json writes the terms from the sorted keys
+directly.
 """
 
 from . import _kernel, bsgroup
@@ -102,9 +103,6 @@ class GroupRingElt:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return self._raw(self.k, {g: -c for g, c in self.terms.items()})
 
@@ -118,11 +116,6 @@ class GroupRingElt:
             self._check(other)
             return self._raw(self.k,
                              _kernel.ring_mul(self.terms, other.terms, self.k))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
         return NotImplemented
 
     def __eq__(self, other):
@@ -285,7 +278,7 @@ def _render(pairs, show):
 
 
 class FreeRingElt:
-    """Element of Z[F(a, b)], keyed by freely reduced words."""
+    """A Fox derivative in Z[F(a, b)], keyed by freely reduced words."""
 
     __slots__ = ("terms",)
 
@@ -303,81 +296,9 @@ class FreeRingElt:
                     del clean[w]
         self.terms = clean
 
-    @classmethod
-    def _raw(cls, terms):
-        obj = object.__new__(cls)
-        obj.terms = terms
-        return obj
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
-
-    @classmethod
-    def one(cls):
-        return cls._raw({"": 1})
-
-    @classmethod
-    def from_word(cls, word, coeff=1):
-        return cls({word: coeff})
-
-    def __add__(self, other):
-        if not isinstance(other, FreeRingElt):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            c0 = out.get(w, 0) + c
-            if c0:
-                out[w] = c0
-            elif w in out:
-                del out[w]
-        return self._raw(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._raw({w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return self.zero()
-            return self._raw({w: c * other for w, c in self.terms.items()})
-        if not isinstance(other, FreeRingElt):
-            return NotImplemented
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = bsgroup.free_reduce(w1 + w2)
-                c0 = out.get(w, 0) + c1 * c2
-                if c0:
-                    out[w] = c0
-                elif w in out:
-                    del out[w]
-        return self._raw(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        return isinstance(other, FreeRingElt) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
     def sorted_terms(self):
         return [(w, self.terms[w])
                 for w in sorted(self.terms, key=lambda w: (len(w), w))]
 
     def __str__(self):
         return _render(self.sorted_terms(), lambda w: w or "1")
-
-    def __repr__(self):
-        return "FreeRingElt(%s)" % self
-

@@ -254,6 +254,10 @@ class HermitianForm:
         if "inverse" in doc:
             inverse = _json_matrix(doc["inverse"], k, "inverse")
         arf = ArfTag.from_json(doc["arf"]) if "arf" in doc else None
+        # after the fields: a document of another kind hears what it lacks
+        for field in doc:
+            if field not in ("k", "matrix", "inverse", "arf"):
+                raise SchemaError("form has an unknown field %r" % field)
         return HermitianForm(k, matrix, inverse, arf)
 
 

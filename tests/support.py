@@ -1,7 +1,8 @@
 """Shared random generators and oracles for the test suite.
 
 Every generator takes an explicit random.Random so runs are
-reproducible.
+reproducible.  FreeRing, the free group ring with its arithmetic, is
+the oracle of the Fox derivatives, which bsfour keeps only to print.
 """
 
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 from bsfour import _kernel, bsgroup
 from bsfour.bsgroup import MAX_JSON_EXPONENT, MAX_JSON_K, BSElement
 from bsfour.errors import SchemaError
+from bsfour.foxchain import fox_derivative
 from bsfour.groupring import FreeRingElt, GroupRingElt
 
 
@@ -125,6 +127,72 @@ def fraction_signature(S):
     return sig
 
 
+class FreeRing(FreeRingElt):
+    """Z[F(a, b)] with its ring operations: the oracle that Fox
+    derivatives, words in FreeRingElt, are compared with."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _raw(cls, terms):
+        obj = object.__new__(cls)
+        obj.terms = terms
+        return obj
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    @classmethod
+    def one(cls):
+        return cls._raw({"": 1})
+
+    @classmethod
+    def from_word(cls, word):
+        return cls({word: 1})
+
+    def __add__(self, other):
+        if not isinstance(other, FreeRingElt):
+            return NotImplemented
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            c0 = out.get(w, 0) + c
+            if c0:
+                out[w] = c0
+            elif w in out:
+                del out[w]
+        return self._raw(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw({w: -c for w, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, FreeRingElt):
+            return NotImplemented
+        out = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = bsgroup.free_reduce(w1 + w2)
+                c0 = out.get(w, 0) + c1 * c2
+                if c0:
+                    out[w] = c0
+                elif w in out:
+                    del out[w]
+        return self._raw(out)
+
+    def __eq__(self, other):
+        # a FreeRingElt on the left defers to this, its subclass
+        return isinstance(other, FreeRingElt) and self.terms == other.terms
+
+
+def fox(word, gen):
+    """foxchain.fox_derivative(word, gen) as an element of FreeRing."""
+    return FreeRing._raw(fox_derivative(word, gen).terms)
+
+
 def geometric_series(k):
     """(b^k - 1)/(b - 1) as an element of the free ring.
 
@@ -133,10 +201,10 @@ def geometric_series(k):
     (b - 1) * geometric_series(k) = b^k - 1.
     """
     if k > 0:
-        return FreeRingElt._raw({"b" * i: 1 for i in range(k)})
+        return FreeRing._raw({"b" * i: 1 for i in range(k)})
     if k == 0:
-        return FreeRingElt.zero()
-    return FreeRingElt._raw({"B" * i: -1 for i in range(1, -k + 1)})
+        return FreeRing.zero()
+    return FreeRing._raw({"B" * i: -1 for i in range(1, -k + 1)})
 
 
 def x_fraction(g, k):
@@ -158,6 +226,13 @@ def sesquilinear(f, x, y):
             row = row + f.matrix[i][j] * ybar[j]
         total = total + x[i] * row
     return total
+
+
+def read_element(doc, k):
+    """A group element read from JSON by bsgroup._json_terms, as the
+    one element of a term of coefficient 1."""
+    (g,) = bsgroup._json_terms([{"coeff": 1, "elt": doc}], k)
+    return BSElement(*g)
 
 
 # The JSON readers of ring and group elements as they were before one

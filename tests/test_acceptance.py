@@ -15,7 +15,7 @@ from conftest import ACCEPTANCE_VERDICTS
 
 from bsfour import bsgroup, foxchain, hermform, intlinalg, invariants
 from bsfour.foxchain import build_complex, fox_derivative, relator_word
-from bsfour.groupring import FreeRingElt, GroupRingElt
+from bsfour.groupring import GroupRingElt
 from bsfour.hermform import (
     HermitianForm,
     Parity,
@@ -39,6 +39,7 @@ from bsfour.invariants import (
 )
 
 from support import (
+    FreeRing,
     geometric_series,
     random_ring_elt,
     random_unit_triangular,
@@ -48,7 +49,7 @@ from support import (
 
 KS_ALL = list(range(-12, 13))
 KS_NONZERO = [k for k in KS_ALL if k != 0]
-W = FreeRingElt.from_word
+W = FreeRing.from_word
 
 
 @contextmanager
@@ -102,7 +103,7 @@ def test_criterion_1_fox_chain_fidelity():
     with criterion(1, "(fox derivatives and chain condition)", budget=5.0):
         for k in KS_NONZERO:
             r = relator_word(k)
-            assert fox_derivative(r, "a") == FreeRingElt.one() - W("abA")
+            assert fox_derivative(r, "a") == FreeRing.one() - W("abA")
             b_minus_k = W("B" * k if k >= 0 else "b" * (-k))
             assert fox_derivative(r, "b") == \
                 W("a") - W("abA") * b_minus_k * geometric_series(k)

@@ -14,7 +14,7 @@ from bsfour import bsgroup
 from bsfour.bsgroup import BSElement
 from bsfour.errors import SchemaError, WordSyntaxError
 
-from support import element, x_fraction
+from support import element, read_element, x_fraction
 
 KS = [k for k in range(-5, 6)]
 KS_NONZERO = [k for k in KS if k != 0]
@@ -174,7 +174,7 @@ def test_json_round_trip():
             doc = g.to_json()
             assert set(doc) == {"num", "pow", "t"}
             assert isinstance(doc["num"], str) and isinstance(doc["t"], str)
-            assert BSElement.from_json(doc, k) == g
+            assert read_element(doc, k) == g
 
 
 def test_json_rejects_garbage():
@@ -190,14 +190,14 @@ def test_json_rejects_garbage():
         "nope",
     ]:
         with pytest.raises(SchemaError):
-            BSElement.from_json(doc, 2)
+            read_element(doc, 2)
     edge = {"num": "1", "pow": bsgroup.MAX_JSON_EXPONENT,
             "t": str(-bsgroup.MAX_JSON_EXPONENT)}
     for k in (bsgroup.MAX_JSON_K, -bsgroup.MAX_JSON_K):
-        assert BSElement.from_json(edge, k) == (1, bsgroup.MAX_JSON_EXPONENT,
-                                                -bsgroup.MAX_JSON_EXPONENT)
+        assert read_element(edge, k) == (1, bsgroup.MAX_JSON_EXPONENT,
+                                         -bsgroup.MAX_JSON_EXPONENT)
         with pytest.raises(SchemaError):
-            BSElement.from_json(edge, 2 * k)
+            read_element(edge, 2 * k)
 
 
 def test_sort_key_orders_by_t_then_pow_then_num():

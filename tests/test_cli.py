@@ -156,6 +156,17 @@ def test_form_bad_certificate_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_form_unknown_field_exits_2(capsys, tmp_path):
+    # a misspelt certificate is refused, not dropped without a word
+    doc = hermform.hyperbolic(2, 1).to_json()
+    doc["invrese"] = doc.pop("inverse")
+    path = write(tmp_path / "typo.json", doc)
+    code = cli.main(["form", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: form has an unknown field 'invrese'\n"
+
+
 def test_classify_flow(capsys, tmp_path):
     k = 2
     h = hermform.hyperbolic(k, 1)

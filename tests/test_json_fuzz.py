@@ -1,9 +1,10 @@
 """Property tests of the JSON readers that take outside documents.
 
-BSElement.from_json, GroupRingElt.from_json and hermform.matrix_from_json
-either return a value or raise SchemaError on any document, never another
-exception, and the first two give what the readers they replaced, kept
-in tests/support.py, give: the same terms in the same order, or the same
+The group element reader (bsgroup._json_terms on a one-term ring
+element, support.read_element), GroupRingElt.from_json and
+hermform.matrix_from_json either return a value or raise SchemaError on
+any document, never another exception, and the first two give what the
+readers they replaced, kept in tests/support.py, give: the same terms in the same order, or the same
 message; HermitianForm.from_json and ManifoldDescriptor.from_json raise
 only BsfourError (a certificate that fails, an inconsistent descriptor).
 Valid values survive to_json -> json.dumps -> from_json with identical
@@ -32,7 +33,8 @@ from bsfour.hermform import ARF_ASSERTED, ArfTag, HermitianForm
 from bsfour.invariants import ManifoldDescriptor, realize
 
 from support import (element, oracle_element_from_json, oracle_json_int,
-                     oracle_ring_from_json, random_unit_triangular)
+                     oracle_ring_from_json, random_unit_triangular,
+                     read_element)
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 database=None)
@@ -117,10 +119,10 @@ def round_trip(doc, read, write):
 @FUZZ
 @given(element_docs, any_k)
 def test_element_reader_raises_only_schema_error(doc, k):
-    g = reads_or_rejects(lambda d: BSElement.from_json(d, k), doc)
+    g = reads_or_rejects(lambda d: read_element(d, k), doc)
     if g is not None:
         assert abs(k) <= MAX_JSON_K
-        round_trip(g.to_json(), lambda d: BSElement.from_json(d, k),
+        round_trip(g.to_json(), lambda d: read_element(d, k),
                    BSElement.to_json)
 
 
@@ -178,7 +180,7 @@ def test_ring_reader_agrees_with_its_oracle(doc):
 @FUZZ
 @given(element_docs, any_k)
 def test_element_reader_agrees_with_its_oracle(doc, k):
-    assert outcome(lambda d: BSElement.from_json(d, k), doc) == outcome(
+    assert outcome(lambda d: read_element(d, k), doc) == outcome(
         lambda d: oracle_element_from_json(d, k), doc)
 
 
@@ -210,7 +212,7 @@ def ring_elts(k):
 @given(elements)
 def test_element_round_trip_is_byte_identical(gk):
     g, k = gk
-    assert round_trip(g.to_json(), lambda d: BSElement.from_json(d, k),
+    assert round_trip(g.to_json(), lambda d: read_element(d, k),
                       BSElement.to_json) == g
 
 

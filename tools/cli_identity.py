@@ -14,6 +14,8 @@ The command set:
   without each optional [part], each with and without --pretty; the
   files the lines name are written first (f.json the hyperbolic plane
   over k = 2, d1.json and d2.json its descriptor, u.json the identity);
+- fox --k K for every K in -12..12, with and without --pretty, so the
+  printed Fox derivatives are compared at negative, zero and unit k too;
 - on every document the cli-docs benchmark workload writes for seeds 1
   and 2: form, form --pretty, form --try-invert, realize,
   realize --pretty and realize --try-invert;
@@ -39,6 +41,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2)
+FOX_KS = range(-12, 13)
 
 
 def readme_commands():
@@ -126,6 +129,9 @@ def child(src, workdir):
     write_readme_files()
     commands = []
     for argv in readme_commands():
+        commands += [argv, argv + ["--pretty"]]
+    for k in FOX_KS:
+        argv = ["fox", "--k", str(k)]
         commands += [argv, argv + ["--pretty"]]
     for seed in SEEDS:
         commands += docs_commands(workloads, seed)
