@@ -94,6 +94,9 @@ def _json_terms(items, k):
         if "num" not in doc or "pow" not in doc or "t" not in doc:
             raise SchemaError("group element missing field %r" % next(
                 f for f in ("num", "pow", "t") if f not in doc))
+        if len(doc) != 3:
+            raise SchemaError("group element has an unknown field %r" % next(
+                f for f in doc if f not in ("num", "pow", "t")))
         if abs(k) > MAX_JSON_K:
             raise SchemaError("group elements are read only for |k| <= %d"
                               % MAX_JSON_K)

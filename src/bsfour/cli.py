@@ -219,9 +219,12 @@ def _parse_range(spec):
     if not sep:
         raise SchemaError("k range must look like 'a..b'")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise SchemaError("k range bounds must be integers") from None
+    if lo > hi:
+        raise SchemaError("k range A..B needs A <= B, got %s" % spec)
+    return lo, hi
 
 
 def _report_row(k):

@@ -156,6 +156,9 @@ class GroupRingElt:
         terms = doc.get("terms")
         if not isinstance(terms, list):
             raise SchemaError("ring element needs a list field 'terms'")
+        if len(doc) != 2:
+            raise SchemaError("ring element has an unknown field %r" % next(
+                f for f in doc if f not in ("k", "terms")))
         return cls._raw(k, _json_terms(terms, k))
 
     @classmethod

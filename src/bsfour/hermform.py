@@ -5,25 +5,21 @@ transpose (involute entries, then transpose), evaluating on row
 vectors by s(x, y) = x A involute(y)^T, linear in x.
 
 Invertibility over the group ring is never decided heuristically:
-either a certificate C with A C = C A = 1 is produced and checked by
-exact multiplication, or the answer is unknown.  Every inverse comes
-from invert_matrix, Gauss-Jordan elimination with trivial-unit pivots
-+-g: sound, not complete, and never failing on a unit triangular
-matrix.  A product is compared with 1 entry by entry, as it is summed.
-For a hermitian A the one product A C = 1 is checked: it implies
-C A = 1 (the proof is at _is_hermitian_inverse).  Two certificates are
-derived from checked parts, not multiplied out again: the one that
-congruence transports (the proof is at congruence) and the
-block-diagonal one of an orthogonal sum (the proof is at
-orthogonal_sum).  congruence multiplies out only the entries on and
-above the diagonal of the transported matrix and of its certificate,
-which are hermitian by theorem, and fills the rest by the involution.
-A form that congruence builds from A by U keeps A, Ubar = involute(U)
-and W* for the checked W = Ubar^-1, and verify_inverse decides
-U^T A Ubar C = 1 by comparing A (Ubar C) with W* entry by entry (the
-proof is at verify_inverse).  Forms are read-only, so a certificate
-once checked stays attached to its matrix, and a transported form to
-its factors.  Parity reads the identity
+either a certificate C with A C = 1 is produced and checked by exact
+multiplication, or the answer is unknown; C A = 1 follows (the proof
+is at _is_inverse).  Every inverse comes from invert_matrix,
+Gauss-Jordan elimination with trivial-unit pivots +-g: sound, not
+complete, and never failing on a unit triangular matrix.  A product is
+compared with its target entry by entry, as it is summed.
+verify_isometry builds no inverse: the isometry equation proves the
+isometry invertible.  congruence and orthogonal_sum derive their
+certificates from checked parts instead of multiplying them out, and
+congruence fills the lower half of each hermitian product by the
+involution; a transported form keeps A, Ubar = involute(U) and W* for
+the checked W = Ubar^-1, and verify_inverse compares A (Ubar C) with
+W*.  The proofs are at each function.  Forms are read-only, so a
+certificate once checked stays attached to its matrix, and a
+transported form to its factors.  Parity reads the identity
 coefficients of the diagonal; cross terms contribute
 lambda + conjugate(lambda), which has even identity coefficient, so the
 diagonal rule agrees with evaluation parity.  The augmented form is the
@@ -149,19 +145,13 @@ def _product_is(A, C, T, k):
 
 
 def _is_inverse(A, C, k):
-    """True iff C is a two-sided inverse of the square matrix A: the
-    shape first, then A C = 1, then C A = 1."""
-    return (_is_square(C, len(A))
-            and _product_is(A, C, 1, k)
-            and _product_is(C, A, 1, k))
-
-
-def _is_hermitian_inverse(A, C, k):
-    """True iff C is a two-sided inverse of the hermitian matrix A: the
+    """True iff C is the two-sided inverse of the square matrix A: the
     shape first, then A C = 1 alone."""
-    # For A = A*, A C = 1 already gives C A = 1.  Star is an
-    # anti-automorphism with 1* = 1, so applying it to A C = 1 gives
-    # C* A = 1.  Then C* = C* (A C) = (C* A) C = C, and C A = C* A = 1.
+    # C A = 1 follows: square matrices over Z[G] in Q[G] are directly
+    # finite for every group G (Kaplansky; for matrices S. Montgomery,
+    # Bull. AMS 75, 1969; for sofic groups such as B(k) also Elek and
+    # Szabo, J. Algebra 280, 2004).  For hermitian A it is elementary:
+    # star gives C* A = 1, so C* = C* (A C) = (C* A) C = C, C A = 1.
     return _is_square(C, len(A)) and _product_is(A, C, 1, k)
 
 
@@ -210,7 +200,7 @@ class HermitianForm:
                             ("inverse", inverse), ("arf", arf)):
             object.__setattr__(self, name, value)
 
-    _certifies = staticmethod(_is_hermitian_inverse)
+    _certifies = staticmethod(_is_inverse)
 
     @property
     def _check(self):
@@ -285,7 +275,10 @@ def matrix_from_json(doc):
     k = doc["k"]
     if not isinstance(k, int) or isinstance(k, bool):
         raise SchemaError("matrix document needs an integer 'k'")
-    return k, _json_matrix(doc["matrix"], k, "matrix")
+    rows = _json_matrix(doc["matrix"], k, "matrix")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise SchemaError("matrix rows must all have the same length")
+    return k, rows
 
 
 def matrix_to_json(M, k):
@@ -385,7 +378,7 @@ def _add_product(acc, p, q, k):
 def invert_matrix(mat, k):
     """Invert a square matrix over the group ring by Gauss-Jordan
     elimination with trivial-unit pivots (+-g only).  Sound but not
-    complete: returns a verified two-sided inverse or None."""
+    complete: returns an inverse checked by _is_inverse, or None."""
     # On a unit upper or lower triangular matrix the elimination never
     # fails, and congruence relies on that to transport certificates.
     # Rows already pivoted never change row i's entry at (i, i), so the
@@ -461,21 +454,16 @@ def verify_inverse(f, C):
     For a form that congruence transported from A by U, A (Ubar C) is
     compared with W*, where Ubar = involute(U) and W = Ubar^-1 was
     checked when the form was built."""
-    # The form keeps factors F1, ..., Fm and a target T such that its
-    # matrix A2 has A2 C = 1 exactly when F1 (... (Fm C)) = T.  For a
-    # plain form that is ((A2,), 1), and there is nothing to prove.  A
-    # form congruence built from A by U keeps ((A, Ubar), W*), and
-    # A2 = U^T A Ubar exactly (the proof is at congruence).
-    # invert_matrix checked W Ubar = Ubar W = 1.  Star is an
-    # anti-automorphism with Ubar* = U^T and 1* = 1, so U^T W* = 1 and
-    # W* U^T = 1.  By associativity A2 C = U^T Y with Y = A (Ubar C).
-    # If Y = W*, then A2 C = U^T W* = 1.  If U^T Y = 1, then
-    # Y = (W* U^T) Y = W* (U^T Y) = W*.  So Y = W* exactly when A2 C = 1,
-    # and the verdict is the direct product's, for every C.  The check
-    # trusts nothing C provides: A is the source form's matrix and W was
-    # checked, and forms are read-only.  Only the cost differs: for the
-    # transported certificate C = W C0 W*, Ubar C = C0 W*, far sparser
-    # than C, and no product with L = U^T A is taken.
+    # The form keeps factors F1, ..., Fm and a target T with A2 C = 1
+    # exactly when F1 (... (Fm C)) = T: ((A2,), 1) for a plain form.  A
+    # form congruence built from A by U keeps ((A, Ubar), W*), where
+    # A2 = U^T A Ubar (the proof is at congruence) and Ubar W = 1 was
+    # checked, so W Ubar = 1 (see _is_inverse); by star, U^T W* = 1 and
+    # W* U^T = 1.  With Y = A (Ubar C), A2 C = U^T Y: if Y = W*, that is
+    # 1, and if U^T Y = 1, then Y = (W* U^T) Y = W*.  So the verdict is
+    # the direct product's, for every C, and trusts nothing C provides:
+    # A and W were checked, and forms are read-only.  Only the cost
+    # differs: for C = W C0 W*, Ubar C = C0 W* is far sparser than C.
     C = _freeze(C)
     _check_entries(f.k, C, "certificate")
     if not _is_square(C, f.rank):
@@ -522,17 +510,14 @@ def congruence(f, U):
     k = f.k
     # With A = f.matrix, C = f.inverse and W = Ubar^-1, the new matrix is
     # A2 = U^T A Ubar and its certificate C2 = W C W*.  Both are
-    # hermitian.  A* = A was checked when f was built, and Ubar* = U^T,
-    # so A2* = Ubar* A* (U^T)* = A2.  C* = C, as the inverse of a
-    # hermitian matrix (see _is_hermitian_inverse), so C2* = W C W* = C2.
-    # So _hermitian_product fills the entries below the diagonal by the
-    # involution, and the matrices are U^T A Ubar and W C W* exactly.
-    # C2 is correct without multiplying A2 by C2.  A C = 1 because f is
-    # a HermitianForm (checked or derived when f was built, and forms are
-    # read-only), and W Ubar = Ubar W = 1 because invert_matrix checked
-    # both products.  Since Ubar* = U^T,
-    #   A2 C2 = U^T A (Ubar W) C W* = U^T (A C) W* = U^T W* = (W Ubar)* = 1,
-    # and A2 is hermitian, so C2 A2 = 1 as at _is_hermitian_inverse.
+    # hermitian: A* = A was checked when f was built and Ubar* = U^T, so
+    # A2* = A2; C* = C (see _is_inverse), so C2* = C2.  So
+    # _hermitian_product, which fills the entries below the diagonal by
+    # the involution, gives them exactly.  C2 needs no product with A2:
+    # A C = 1 was checked or derived when f was built (forms are
+    # read-only), and invert_matrix checked Ubar W = 1, so W Ubar = 1
+    # (see _is_inverse) and
+    #   A2 C2 = U^T A (Ubar W) C W* = U^T (A C) W* = U^T W* = (W Ubar)* = 1.
     ubar = mat_involute(U)
     A2 = _hermitian_product(mat_mul(mat_transpose(U), f.matrix, k), ubar, k)
     W = invert_matrix(ubar, k) if f.inverse is not None else None
@@ -544,21 +529,24 @@ def congruence(f, U):
 
 
 def verify_isometry(f, g, U):
-    """True iff U^T A_g involute(U) = A_f exactly.  U must carry a
-    verifiable inverse; shape or invertibility problems raise."""
+    """True iff U^T A_g involute(U) = A_f exactly, for A_f and A_g the
+    matrices of f and g; no inverse of U is built.  A wrong shape, or an
+    f without a certificate, raises CertificateError."""
     if f.k != g.k:
         raise GroupMismatchError("isometry across different k")
     U = _freeze(U)
-    n = f.rank
-    if g.rank != n or not _is_square(U, n):
+    if g.rank != f.rank or not _is_square(U, f.rank):
         raise CertificateError("isometry certificate has wrong shape")
     _check_entries(f.k, U, "certificate")
-    if invert_matrix(U, f.k) is None:
-        raise CertificateError("isometry certificate is not invertible"
-                               " by trivial-unit elimination")
-    lhs = mat_mul(mat_mul(mat_transpose(U), g.matrix, f.k),
-                  mat_involute(U), f.k)
-    return lhs == f.matrix
+    if f.inverse is None:
+        raise CertificateError("the first form has no inverse certificate")
+    # The isometry is x -> x U^T: s_g(x U^T, y U^T) = x U^T A_g Ubar y*
+    # = s_f(x, y).  The equation proves U^T invertible: A_f C_f = 1 was
+    # checked or derived when f was built (forms are read-only), so
+    # U^T (A_g Ubar C_f) = 1, and a right inverse is two-sided (see
+    # _is_inverse).  A U^T that is not invertible fails the equation.
+    return _product_is(mat_mul(mat_transpose(U), g.matrix, f.k),
+                       mat_involute(U), f.matrix, f.k)
 
 
 def isometry_inverse(U, k):

@@ -228,6 +228,28 @@ def sesquilinear(f, x, y):
     return total
 
 
+def mat_product(A, B, k):
+    """A B for matrices of ring elements, by the ring's own + and *, as
+    a tuple of rows."""
+    return tuple(tuple(sum((A[i][p] * B[p][j] for p in range(len(B))),
+                           GroupRingElt.zero(k)) for j in range(len(B[0])))
+                 for i in range(len(A)))
+
+
+def assert_isometry_invertible(f, g, U):
+    """For a U that verify_isometry accepts, U^T A_g Ubar = A_f: U^T
+    has the inverse X = A_g Ubar C_f, with C_f the certificate of f.
+    Both products, X U^T and U^T X, are checked to be 1."""
+    k, n = f.k, f.rank
+    Ut = [list(col) for col in zip(*U)]
+    ubar = [[p.involute() for p in row] for row in U]
+    X = mat_product(mat_product(g.matrix, ubar, k), f.inverse, k)
+    one = tuple(tuple(GroupRingElt.one(k) if i == j else GroupRingElt.zero(k)
+                      for j in range(n)) for i in range(n))
+    assert mat_product(X, Ut, k) == one
+    assert mat_product(Ut, X, k) == one
+
+
 def read_element(doc, k):
     """A group element read from JSON by bsgroup._json_terms, as the
     one element of a term of coefficient 1."""
@@ -237,7 +259,8 @@ def read_element(doc, k):
 
 # The JSON readers of ring and group elements as they were before one
 # loop (bsgroup._json_terms) read every term: a function call per
-# element and per integer field, kept as the oracle of that loop.
+# element and per integer field, kept as the oracle of that loop.  Like
+# the readers, they refuse an unknown field, naming the first one.
 
 def oracle_json_int(value, field):
     if isinstance(value, bool):
@@ -262,6 +285,10 @@ def oracle_element_from_json(doc, k):
     for field in ("num", "pow", "t"):
         if field not in doc:
             raise SchemaError("group element missing field %r" % field)
+    for field in doc:
+        if field not in ("num", "pow", "t"):
+            raise SchemaError("group element has an unknown field %r"
+                              % field)
     if abs(k) > MAX_JSON_K:
         raise SchemaError("group elements are read only for |k| <= %d"
                           % MAX_JSON_K)
@@ -287,6 +314,9 @@ def oracle_ring_from_json(doc):
     terms = doc.get("terms")
     if not isinstance(terms, list):
         raise SchemaError("ring element needs a list field 'terms'")
+    for field in doc:
+        if field not in ("k", "terms"):
+            raise SchemaError("ring element has an unknown field %r" % field)
     acc = {}
     for item in terms:
         if not isinstance(item, dict) or set(item) != {"coeff", "elt"}:

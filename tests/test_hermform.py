@@ -11,19 +11,27 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsfour import _kernel, cli, hermform, intlinalg
 from bsfour.errors import CertificateError, GroupMismatchError, SchemaError
 from bsfour.groupring import GroupRingElt
 from bsfour.hermform import (HermitianForm, Parity, congruence, hyperbolic,
                              isometry_inverse, parity, try_invert,
-                             verify_inverse, verify_isometry)
+                             verify_inverse)
 
-from support import (random_ring_elt, random_unimodular,
-                     random_unit_triangular, sesquilinear)
+from support import (assert_isometry_invertible, mat_product,
+                     random_ring_elt, random_unimodular,
+                     random_unit_triangular, random_word, sesquilinear)
 
 one = GroupRingElt.one
 zero = GroupRingElt.zero
+
+
+def verify_isometry(f, g, U):
+    # looked up in the module at each call, so that the check in
+    # conftest.py of every accepted isometry sees these calls too
+    return hermform.verify_isometry(f, g, U)
 
 
 def const_form(k, M):
@@ -275,11 +283,93 @@ def test_verify_isometry_examples():
 
 
 def test_verify_isometry_requires_invertible_certificate():
+    """A U^T that is not invertible fails the equation itself: on the
+    form (1), U = (2) gives 2 * 1 * 2 = 4, not 1.  No inverse of U is
+    sought, so that product decides it, and the answer is False."""
     k = 2
     f = unit_form(k)
     two = GroupRingElt.one(k) * 2
-    with pytest.raises(CertificateError):
-        verify_isometry(f, f, ((two,),))
+    assert verify_isometry(f, f, ((two,),)) is False
+
+
+def test_verify_isometry_needs_a_certificate_of_the_first_form():
+    """The proof that an accepted U^T is invertible uses the certificate
+    of the first form, so a first form without one raises; the second
+    form needs none."""
+    k = 2
+    h = hyperbolic(k, 1)
+    bare = HermitianForm(k, h.matrix)
+    with pytest.raises(CertificateError, match="no inverse certificate"):
+        verify_isometry(bare, h, identity(k, 2))
+    assert verify_isometry(h, bare, identity(k, 2))
+
+
+def test_verify_isometry_accepts_what_elimination_cannot_invert():
+    """U = [[2, 5], [3, 8]] has determinant 1 but no entry +-1, so the
+    +-g pivots of invert_matrix find nothing in it; it carries H to
+    [[12, 31], [31, 80]], and U^T has the inverse A_g Ubar C_f.  So do
+    the transports of H^r by U = M D, M a block sum of that matrix and
+    D a diagonal of monomials, whose entries are no trivial units."""
+    k = 2
+    U = hermform._constants(k, [[2, 5], [3, 8]])
+    assert hermform.invert_matrix(U, k) is None
+    f, h = const_form(k, [[12, 31], [31, 80]]), hyperbolic(k, 1)
+    assert verify_isometry(f, h, U)
+    assert_isometry_invertible(f, h, U)
+    assert not verify_isometry(h, f, U)
+    rng = random.Random(93)
+    for i in range(6):
+        k = (2, 3, -2)[i % 3]
+        g, C, U = _plain_transport(rng, k, 1 + i % 2)
+        assert hermform.invert_matrix(U, k) is None
+        f = HermitianForm(k, g.matrix, C)
+        assert verify_isometry(f, hyperbolic(k, g.rank // 2), U)
+        assert_isometry_invertible(f, hyperbolic(k, g.rank // 2), U)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, -2, -1, 1, 0]), st.integers(1, 4),
+       st.sampled_from(["upper", "lower", "product", "any"]),
+       st.integers(0, 2 ** 32))
+def test_every_inverse_elimination_finds_is_two_sided(k, n, shape, seed):
+    """invert_matrix checks M X = 1 alone, and by direct finiteness
+    X M = 1 follows (the proof is at hermform._is_inverse).  This
+    samples that conclusion: X M is computed here, by the ring's own
+    + and *.  A triangular M with trivial units +-g on its diagonal is
+    always inverted; a product L P R of two such and a permutation P,
+    or a matrix of random entries, when the pivots find a way."""
+    rng = random.Random(seed)
+
+    def entry():
+        return rng.choice((
+            zero(k),
+            GroupRingElt.from_word(k, random_word(rng, 4),
+                                   rng.choice((-1, 1))),
+            random_ring_elt(rng, k, terms=2, wordlen=3, cmax=2)))
+
+    def triangular(upper):
+        return [[GroupRingElt.from_word(k, random_word(rng, 3),
+                                        rng.choice((-1, 1))) if i == j
+                 else entry() if (i < j) == upper else zero(k)
+                 for j in range(n)] for i in range(n)]
+
+    if shape in ("upper", "lower"):
+        M = triangular(shape == "upper")
+    elif shape == "product":
+        order = list(range(n))
+        rng.shuffle(order)
+        P = [[one(k) if j == order[i] else zero(k) for j in range(n)]
+             for i in range(n)]
+        M = mat_product(mat_product(triangular(False), P, k),
+                        triangular(True), k)
+    else:
+        M = [[entry() for _ in range(n)] for _ in range(n)]
+    X = hermform.invert_matrix(M, k)
+    if shape in ("upper", "lower"):
+        assert X is not None
+    if X is not None:
+        assert mat_product(M, X, k) == identity(k, n)
+        assert mat_product(X, M, k) == identity(k, n)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -357,7 +447,7 @@ def test_arf_tag_validation():
 
 def test_congruence_rejects_wrong_triangular_inverse(monkeypatch):
     """One wrong update inside the elimination is caught by its final
-    two-sided check: congruence attaches no certificate and
+    check M W = 1: congruence attaches no certificate and
     isometry_inverse raises."""
     k = 2
     f = hermform.even_reference_form(k, hyperbolics=2)
@@ -422,7 +512,9 @@ def test_one_sided_check_agrees_with_two_sided():
                                                        rng.choice((-1, 1)))
         C = hermform._freeze(C)
         one_sided = verify_inverse(g, C)
-        assert one_sided == hermform._is_inverse(g.matrix, C, k)
+        two_sided = (mat_product(g.matrix, C, k) == identity(k, g.rank)
+                     and mat_product(C, g.matrix, k) == identity(k, g.rank))
+        assert one_sided == two_sided
         assert one_sided == (i % 2 == 0)
         verdicts.add(one_sided)
     assert verdicts == {True, False}
@@ -499,7 +591,7 @@ def test_congruence_does_no_product_with_its_certificate(monkeypatch):
     mul = hermform.mat_mul
     ubar = hermform.mat_involute(U)
     # the transport's own products: U^T A Ubar, W = Ubar^-1 with its
-    # two-sided check, W C W*
+    # check, W C W*
     _, n1 = calls.products(
         lambda: mul(mul(hermform.mat_transpose(U), f.matrix, k), ubar, k))
     W, n2 = calls.products(lambda: hermform.invert_matrix(ubar, k))
@@ -518,7 +610,7 @@ def test_congruence_does_no_product_with_its_certificate(monkeypatch):
     # the product left out, A2 C2 taken directly, is the bulk of a full
     # check; verify_inverse takes it through the factors, for less
     _, direct = calls.products(
-        lambda: hermform._is_hermitian_inverse(g.matrix, g.inverse, k))
+        lambda: hermform._is_inverse(g.matrix, g.inverse, k))
     assert direct > own
     verdict, check = calls.products(lambda: verify_inverse(g, g.inverse))
     assert verdict is True and check < direct
@@ -609,7 +701,7 @@ def test_invert_matrix_adds_factors_of_one_directly(monkeypatch):
     """No update of the elimination sends a factor equal to 1 to the
     kernel: the other factor is added in directly.  The inverses are
     the ones every update through the kernel gives, term order
-    included.  The final two-sided check is a product like any other."""
+    included.  The final check M W = 1 is a product like any other."""
     k = 3
     rng = random.Random(87)
     a, b = (GroupRingElt.from_word(k, w) for w in "ab")
@@ -657,7 +749,8 @@ def _plain_transport(rng, k, r):
     copies of the unimodular [[2, 5], [3, 8]] and D a diagonal of
     monomials +-w: no entry of involute(U) is a trivial unit, so the
     elimination finds no pivot and congruence returns a plain form.
-    Returns it with its inverse, built from the integer inverse of M."""
+    Returns it with its inverse, built from the integer inverse of M,
+    and U."""
     f = hyperbolic(k, r)
     n = f.rank
     M = [[0] * n for _ in range(n)]
@@ -678,7 +771,7 @@ def _plain_transport(rng, k, r):
     g = congruence(f, U)
     assert type(g) is HermitianForm and g.inverse is None
     return g, hermform.mat_mul(hermform.mat_mul(W, f.inverse, k),
-                               hermform._star(W), k)
+                               hermform._star(W), k), U
 
 
 def test_verify_inverse_agrees_with_the_direct_product():
@@ -693,7 +786,7 @@ def test_verify_inverse_agrees_with_the_direct_product():
     for i in range(32):
         k = (2, 3, -2, -3)[i % 4]
         if i >= 24:
-            g, C = _plain_transport(rng, k, 1 + i % 3)
+            g, C, _ = _plain_transport(rng, k, 1 + i % 3)
         else:
             r, e8 = ((1, 0), (2, 0), (0, 1))[i % 3]
             g = hermform.even_reference_form(k, r, e8)
@@ -715,8 +808,7 @@ def test_verify_inverse_agrees_with_the_direct_product():
                   [row + [zero(k)] for row in C] + [[zero(k)] * (n + 1)],
                   C[:-1] + [C[-1][:-1]])
         for D in (C, tampered, below) + shapes:
-            want = hermform._is_hermitian_inverse(g.matrix,
-                                                  hermform._freeze(D), k)
+            want = hermform._is_inverse(g.matrix, hermform._freeze(D), k)
             assert verify_inverse(g, D) == want
             verdicts.add(want)
         assert verify_inverse(g, C) is True

@@ -78,10 +78,12 @@ def field(valid):
 
 
 def document(fields):
-    """Mostly every field present, else some missing or not an object
-    at all."""
+    """Mostly every field present, else some missing, one unknown field
+    added, or not an object at all."""
     return mostly(st.fixed_dictionaries(fields),
-                  st.fixed_dictionaries({}, optional=fields), junk)
+                  st.fixed_dictionaries({}, optional=fields),
+                  st.fixed_dictionaries(dict(fields, junk=junk)),
+                  junk)
 
 
 element_docs = document({"num": field(st.one_of(int_texts, st.integers())),
