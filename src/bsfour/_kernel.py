@@ -14,6 +14,10 @@ it.  A matrix product over the group ring runs hundreds of thousands
 of term products, and calling _mul (with _scale and _reduce) for each
 took about 30 % of the convolution's time.  _mul stays for single
 products: word evaluation, bsgroup.multiply and the Fox complex.
+
+A constant operand {(0, 0, 0): c} skips the group law (1 g = g 1 = g):
+_addmul adds c times each term of the other operand under its own key,
+in the loop's order.  out must be neither p nor q, both reduced.
 """
 
 
@@ -77,8 +81,20 @@ def _inv(g, k):
 
 def _addmul(out, p, q, k):
     # out += p * q in place; the accumulator keeps matrix products
-    # from allocating one dict per partial sum.  The group law is
-    # written out for each pair of terms:
+    # from allocating one dict per partial sum.  A constant factor
+    # scales the other operand (see the module docstring).
+    if len(q) == 1 and (0, 0, 0) in q:
+        p, q = q, p
+    if len(p) == 1 and (0, 0, 0) in p:
+        c = p[0, 0, 0]
+        for g, c2 in q.items():
+            c2 = c * c2 + out.get(g, 0)
+            if c2:
+                out[g] = c2
+            else:
+                del out[g]
+        return out
+    # Otherwise the group law is written out for each pair of terms:
     #   b^x1 a^t1 * b^x2 a^t2 = b^(x1 + k^t1 x2) a^(t1 + t2),
     # where k^t1 x2 = (+-n2) / |k|^d with d = p2 - t1; the sum goes over
     # the larger denominator and is divided by |k| until reduced.  For

@@ -13,14 +13,14 @@ complete, and never failing on a unit triangular matrix.  A product is
 compared with its target entry by entry, as it is summed.
 verify_isometry builds no inverse: the isometry equation proves the
 isometry invertible.  congruence and orthogonal_sum derive their
-certificates from checked parts instead of multiplying them out, and
-congruence fills the lower half of each hermitian product by the
-involution; a transported form keeps A, Ubar = involute(U) and W* for
-the checked W = Ubar^-1, and verify_inverse compares A (Ubar C) with
-W*.  The proofs are at each function.  Forms are read-only, so a
-certificate once checked stays attached to its matrix, and a
-transported form to its factors.  Parity reads the identity
-coefficients of the diagonal; cross terms contribute
+matrices and certificates from checked parts instead of checking them
+again, and congruence fills the lower half of each hermitian product
+by the involution.  A form transported by U from one with certificate
+Cf is checked by one product: Ubar C = Cf W*, for Ubar = involute(U)
+and the checked W = Ubar^-1.  The proofs are at each function.  Forms
+are read-only, so a certificate once checked stays attached to its
+matrix, and a transported form to its factors.  Parity reads the
+identity coefficients of the diagonal; cross terms contribute
 lambda + conjugate(lambda), which has even identity coefficient, so the
 diagonal rule agrees with evaluation parity.  The augmented form is the
 integer Gram matrix obtained by applying the augmentation entrywise;
@@ -170,24 +170,15 @@ class HermitianForm:
     """Hermitian matrix over Z[B(k)] with an optional verified inverse
     and optional Arf provenance.  Read-only once constructed."""
 
-    __slots__ = ("k", "matrix", "inverse", "arf")
+    # _check: verify_inverse's (F, T), with matrix C = 1 iff F C = T
+    __slots__ = ("k", "matrix", "inverse", "arf", "_check")
 
     def __init__(self, k, matrix, inverse=None, arf=None):
         matrix = _freeze(matrix)
-        n = len(matrix)
-        if not _is_square(matrix, n):
+        if not _is_square(matrix, len(matrix)):
             raise SchemaError("form matrix must be square")
         _check_entries(k, matrix, "form")
-        # The involution is an involution: M[j][i] == involute(M[i][j])
-        # holds exactly when involute(M[j][i]) == M[i][j], so the checks
-        # at (i, j) and (j, i) are one check and j >= i suffices.  A
-        # pair that fails fails first at its (min, max) position in
-        # row-major order, so the reported position is unchanged.
-        for i in range(n):
-            for j in range(i, n):
-                if matrix[j][i] != matrix[i][j].involute():
-                    raise SchemaError(
-                        "matrix is not hermitian at (%d, %d)" % (i, j))
+        self._check_hermitian(matrix)
         if inverse is not None:
             inverse = _freeze(inverse)
             _check_entries(k, inverse, "certificate")
@@ -197,17 +188,25 @@ class HermitianForm:
         if arf is not None and not isinstance(arf, ArfTag):
             raise SchemaError("arf must be an ArfTag")
         for name, value in (("k", k), ("matrix", matrix),
-                            ("inverse", inverse), ("arf", arf)):
+                            ("inverse", inverse), ("arf", arf),
+                            ("_check", (matrix, 1))):
             object.__setattr__(self, name, value)
 
-    _certifies = staticmethod(_is_inverse)
+    @staticmethod
+    def _check_hermitian(matrix):
+        # The involution is an involution: M[j][i] == involute(M[i][j])
+        # holds exactly when involute(M[j][i]) == M[i][j], so the checks
+        # at (i, j) and (j, i) are one check and j >= i suffices.  A
+        # pair that fails fails first at its (min, max) position in
+        # row-major order, so the reported position is unchanged.
+        n = len(matrix)
+        for i in range(n):
+            for j in range(i, n):
+                if matrix[j][i] != matrix[i][j].involute():
+                    raise SchemaError(
+                        "matrix is not hermitian at (%d, %d)" % (i, j))
 
-    @property
-    def _check(self):
-        # (factors, target) for verify_inverse: the form matrix times C
-        # is 1 exactly when the factors, times C from the right one by
-        # one, give the target; 1 stands for the identity
-        return (self.matrix,), 1
+    _certifies = staticmethod(_is_inverse)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianForm is read-only")
@@ -359,22 +358,6 @@ def orthogonal_sum(f, g):
     return _DerivedForm(k, block(f.matrix, g.matrix), cert, arf)
 
 
-def _add_product(acc, p, q, k):
-    """acc += p q in place.  A factor equal to 1 is not sent to the
-    kernel: the other one is added in directly, term by term in the
-    order the kernel would add its products, so acc ends up the same
-    dict, in the same order."""
-    if p == _ONE or q == _ONE:
-        for g, c in (q if p == _ONE else p).items():
-            c += acc.get(g, 0)
-            if c:
-                acc[g] = c
-            else:
-                del acc[g]
-        return acc
-    return _kernel.ring_addmul(acc, p, q, k)
-
-
 def invert_matrix(mat, k):
     """Invert a square matrix over the group ring by Gauss-Jordan
     elimination with trivial-unit pivots (+-g only).  Sound but not
@@ -408,14 +391,15 @@ def invert_matrix(mat, k):
         if M[i][i] != _ONE:
             (g, s), = M[i][i].items()
             pinv = {_kernel.bs_inv(g, k): s}
-            M[i] = [_add_product({}, pinv, x, k) if x else x for x in M[i]]
+            M[i] = [_kernel.ring_addmul({}, pinv, x, k) if x else x
+                    for x in M[i]]
         for r, row in enumerate(M):
             if r == i or not row[i]:
                 continue
             neg = {g: -v for g, v in row[i].items()}
             for j, y in enumerate(M[i]):
                 if y and j != i:
-                    _add_product(row[j], neg, y, k)
+                    _kernel.ring_addmul(row[j], neg, y, k)
             row[i] = {}  # row[i] - row[i] M[i][i], as M[i][i] = 1
     # swapping columns i and c of mat swaps rows i and c of its inverse
     rows = dict(zip(perm, M))
@@ -429,64 +413,67 @@ def try_invert(f):
     augmented matrix must be invertible over Z, which rejects most
     non-invertible forms immediately.  A form of integer constants gets
     the integer inverse, lifted; any other goes to invert_matrix."""
-    if f.rank == 0:
-        return ()
-    inv = intlinalg.unimodular_inverse(augment_form(f))
+    C = _lifted_inverse(f.matrix, f.k)
+    if C is not None or intlinalg.unimodular_inverse(
+            augment_form(f)) is None:
+        return C
+    return invert_matrix(f.matrix, f.k)
+
+
+def _lifted_inverse(M, k):
+    """The inverse of a square matrix of integer constants, checked by
+    _is_inverse; None if M is not one or its inverse is not integral."""
+    # The augmentation is the identity on constants, so inv is the
+    # integer inverse of M; Z -> Z[B(k)] is a ring map, so its lift is
+    # the inverse over the group ring (the one invert_matrix would give),
+    # even where the +-g pivots of invert_matrix get stuck, as on E8.
+    if not all(p.terms.keys() <= _ONE.keys() for row in M for p in row):
+        return None
+    inv = intlinalg.unimodular_inverse([[p.augment() for p in row]
+                                        for row in M])
     if inv is None:
         return None
-    if all(p.terms.keys() <= _ONE.keys() for row in f.matrix for p in row):
-        # The augmentation is the identity on constants, so inv is the
-        # integer inverse of the matrix.  Z -> Z[B(k)] is a ring map, so
-        # its lift is an inverse over the group ring, and the only one:
-        # a constant form that invert_matrix inverts gets the certificate
-        # it would give, and one on which its +-g pivots get stuck, such
-        # as E8, gets one too.  It is still checked exactly.
-        C = _constants(f.k, inv)
-        return C if _is_inverse(f.matrix, C, f.k) else None
-    return invert_matrix(f.matrix, f.k)
+    C = _constants(k, inv)
+    return C if _is_inverse(M, C, k) else None
 
 
 def verify_inverse(f, C):
     """True iff C is the inverse of the form matrix, checked by exact
-    multiplication.  C's entries are checked as the constructor checks
-    a certificate's, then its shape, then one product (the matrix is
-    hermitian).  For a plain form the matrix times C is compared with 1.
-    For a form that congruence transported from A by U, A (Ubar C) is
-    compared with W*, where Ubar = involute(U) and W = Ubar^-1 was
-    checked when the form was built."""
-    # The form keeps factors F1, ..., Fm and a target T with A2 C = 1
-    # exactly when F1 (... (Fm C)) = T: ((A2,), 1) for a plain form.  A
-    # form congruence built from A by U keeps ((A, Ubar), W*), where
-    # A2 = U^T A Ubar (the proof is at congruence) and Ubar W = 1 was
-    # checked, so W Ubar = 1 (see _is_inverse); by star, U^T W* = 1 and
-    # W* U^T = 1.  With Y = A (Ubar C), A2 C = U^T Y: if Y = W*, that is
-    # 1, and if U^T Y = 1, then Y = (W* U^T) Y = W*.  So the verdict is
-    # the direct product's, for every C, and trusts nothing C provides:
-    # A and W were checked, and forms are read-only.  Only the cost
-    # differs: for C = W C0 W*, Ubar C = C0 W* is far sparser than C.
+    multiplication: C's entries as the constructor checks a
+    certificate's, then its shape, then one product F C, compared with
+    a target T entry by entry (the matrix is hermitian)."""
+    # (F, T) is (A2, 1) for a plain form A2.  A form that congruence
+    # built from A by U keeps (Ubar, Cf W*), where A2 = U^T A Ubar,
+    # A Cf = 1 and W Ubar = Ubar W = 1 (see congruence), so by star
+    # U^T W* = W* U^T = 1.  If Ubar C = Cf W*, then
+    # A2 C = U^T (A Cf) W* = U^T W* = 1.  If A2 C = 1, then W* on the
+    # left gives A Ubar C = W*, and Cf A = 1 (see _is_inverse) gives
+    # Ubar C = Cf W*.  So the verdict is the direct product's for every
+    # C, and trusts nothing C provides; it costs one product with the
+    # sparse Ubar, none with A or A2.
     C = _freeze(C)
     _check_entries(f.k, C, "certificate")
     if not _is_square(C, f.rank):
         return False
-    (first, *rest), target = f._check
-    for F in reversed(rest):
-        C = mat_mul(F, C, f.k)
-    return _product_is(first, C, target, f.k)
+    factor, target = f._check
+    return _product_is(factor, C, target, f.k)
 
 
 class _DerivedForm(HermitianForm):
-    """A form whose certificate is derived from checked parts, not
-    multiplied out: by congruence, from the source form and the checked
-    W, or by orthogonal_sum, from the two summands.  Only the product
-    of the certificate with the matrix is skipped; the shape, entry and
-    hermitian checks still run.  check is verify_inverse's (factors,
-    target), ((matrix,), 1) when not given."""
+    """A form derived from checked parts by congruence or orthogonal_sum:
+    of the constructor's checks only the hermitian one and the product
+    of certificate and matrix are skipped.  check, when given, replaces
+    verify_inverse's (F, T)."""
 
-    __slots__ = ("_check",)
+    __slots__ = ()
 
     def __init__(self, k, matrix, inverse, arf, check=None):
         super().__init__(k, matrix, inverse, arf)
-        object.__setattr__(self, "_check", check or ((self.matrix,), 1))
+        if check is not None:
+            object.__setattr__(self, "_check", check)
+
+    # mirrored by _hermitian_product, or hermitian blocks on a diagonal
+    _check_hermitian = staticmethod(lambda matrix: None)
 
     @staticmethod
     def _certifies(matrix, inverse, k):
@@ -495,11 +482,11 @@ class _DerivedForm(HermitianForm):
 
 def congruence(f, U):
     """The form U^T A involute(U).  When f has a certificate C and
-    W = involute(U)^-1 is found, the form gets W C W* and keeps A,
-    involute(U) and W* for verify_inverse; otherwise it is a plain form
-    without a certificate.  Both products are hermitian, so only their
-    entries on and above the diagonal are multiplied out and the rest
-    are filled by the involution.  U must be square of matching rank."""
+    W = involute(U)^-1 is found, the form gets W C W* and keeps
+    involute(U) and C W* for verify_inverse; otherwise it is a plain
+    form without a certificate.  Both products are hermitian: only the
+    entries on and above the diagonal are multiplied out, the rest are
+    filled by the involution.  U must be square of matching rank."""
     if not isinstance(f, HermitianForm):
         raise TypeError("congruence takes a HermitianForm")
     U = _freeze(U)
@@ -523,9 +510,10 @@ def congruence(f, U):
     W = invert_matrix(ubar, k) if f.inverse is not None else None
     if W is None:
         return HermitianForm(k, A2, None, f.arf)
-    wstar = _star(W)
-    C2 = _hermitian_product(mat_mul(W, f.inverse, k), wstar, k)
-    return _DerivedForm(k, A2, C2, f.arf, ((f.matrix, ubar), wstar))
+    WC = mat_mul(W, f.inverse, k)
+    C2 = _hermitian_product(WC, _star(W), k)
+    # verify_inverse compares Ubar D with (W C)* = C W*, as C* = C
+    return _DerivedForm(k, A2, C2, f.arf, (ubar, _star(WC)))
 
 
 def verify_isometry(f, g, U):
@@ -551,7 +539,14 @@ def verify_isometry(f, g, U):
 
 def isometry_inverse(U, k):
     """The certificate for the reversed isometry: if U carries f ~ g
-    then this matrix carries g ~ f."""
+    then involute(involute(U)^-1) carries g ~ f.  A U of integer
+    constants gets its lifted integer inverse; any other U whose
+    elimination finds no +-g pivot raises CertificateError.  A caller
+    holding the forms needs no inverse: X^T is the reversed isometry
+    for X = A_g involute(U) C_f (see verify_isometry)."""
+    V = _lifted_inverse(U, k)  # a constant U is its own involute
+    if V is not None:
+        return V
     W = invert_matrix(mat_involute(U), k)
     if W is None:
         raise CertificateError("certificate is not invertible"

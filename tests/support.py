@@ -228,6 +228,22 @@ def sesquilinear(f, x, y):
     return total
 
 
+def law_addmul(out, p, q, k):
+    """out += p q in place, pair by pair through bsgroup.multiply: the
+    group-law loop of the kernel without its constant path, adding into
+    out in the same order (a key new to out goes last, one whose sum
+    is 0 is deleted)."""
+    for g1, c1 in p.items():
+        for g2, c2 in q.items():
+            g = tuple(bsgroup.multiply(g1, g2, k))
+            c = out.get(g, 0) + c1 * c2
+            if c:
+                out[g] = c
+            else:
+                del out[g]
+    return out
+
+
 def mat_product(A, B, k):
     """A B for matrices of ring elements, by the ring's own + and *, as
     a tuple of rows."""

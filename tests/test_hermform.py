@@ -20,7 +20,7 @@ from bsfour.hermform import (HermitianForm, Parity, congruence, hyperbolic,
                              isometry_inverse, parity, try_invert,
                              verify_inverse)
 
-from support import (assert_isometry_invertible, mat_product,
+from support import (assert_isometry_invertible, law_addmul, mat_product,
                      random_ring_elt, random_unimodular,
                      random_unit_triangular, random_word, sesquilinear)
 
@@ -638,23 +638,25 @@ def test_mat_mul_skips_empty_operands(monkeypatch):
         assert W is not None and hermform._is_inverse(M, W, k)
     # nor does it multiply by a column it has finished: on lower input
     # the step at pivot p updates each row r > p with L[r][p] != 0 once
-    # for each nonzero entry of row p of the inverse; an update with a
-    # factor equal to 1 (-L[r][p] or the entry) is no kernel call
+    # for each nonzero entry of row p of the inverse, and each update
+    # is one kernel call, one with a factor equal to 1 too
     L = hermform.mat_transpose(U)
     W, _ = calls.products(lambda: hermform.invert_matrix(L, k))
-    elimination = len(calls.last)
+    updates = len(calls.last)
+    assert any(one(k).terms in pair for pair in calls.last)
     calls.products(lambda: hermform._is_inverse(L, W, k))
-    elimination -= len(calls.last)
+    updates -= len(calls.last)
     n = len(L)
-    assert elimination == sum(
-        sum(1 for r in range(p + 1, n) if L[r][p] and L[r][p] != -one(k))
-        * sum(1 for x in W[p] if x and x != one(k)) for p in range(n))
+    assert updates == sum(
+        sum(1 for r in range(p + 1, n) if L[r][p])
+        * sum(1 for x in W[p] if x) for p in range(n))
 
 
 def test_wrong_certificate_fails_at_its_first_entry(monkeypatch):
     """A C = 1 is checked one entry at a time: a certificate wrong at
     (0, 0) is rejected after the products of that entry alone, at most
-    n kernel calls, where the whole check makes more than n."""
+    n kernel calls, where the whole check makes more than n.  So is the
+    transported form's one product, involute(U) C against C_f W*."""
     k = 3
     rng = random.Random(86)
     f = hermform.even_reference_form(k, hyperbolics=2, e8_blocks=2)
@@ -677,7 +679,8 @@ def test_wrong_certificate_fails_at_its_first_entry(monkeypatch):
     for h in (g, plain):
         verdict, _ = calls.products(lambda: verify_inverse(h, h.inverse))
         assert verdict is True and len(calls.last) > n
-    checks = (lambda: verify_inverse(plain, C),
+    checks = (lambda: verify_inverse(g, C),
+              lambda: verify_inverse(plain, C),
               lambda: hermform._is_inverse(g.matrix, C, k))
     for check in checks:
         verdict, _ = calls.products(check)
@@ -687,21 +690,13 @@ def test_wrong_certificate_fails_at_its_first_entry(monkeypatch):
     with pytest.raises(CertificateError):
         HermitianForm(k, g.matrix, C)
     assert 0 < len(calls.operands) - start <= n
-    # the transported form first multiplies C by involute(U) in full;
-    # the source matrix times that, compared with W*, stops at its
-    # first entry
-    calls.products(lambda: hermform.mat_mul(hermform.mat_involute(U), C, k))
-    factor = len(calls.last)
-    verdict, _ = calls.products(lambda: verify_inverse(g, C))
-    assert verdict is False
-    assert factor < len(calls.last) <= factor + n
 
 
 def test_invert_matrix_adds_factors_of_one_directly(monkeypatch):
-    """No update of the elimination sends a factor equal to 1 to the
-    kernel: the other factor is added in directly.  The inverses are
-    the ones every update through the kernel gives, term order
-    included.  The final check M W = 1 is a product like any other."""
+    """Updates of the elimination with a factor equal to +-1 are kernel
+    calls like any other, and the kernel adds the other factor in
+    directly.  The inverses are the ones the group-law loop gives for
+    every update, term order included (support.law_addmul)."""
     k = 3
     rng = random.Random(87)
     a, b = (GroupRingElt.from_word(k, w) for w in "ab")
@@ -710,37 +705,23 @@ def test_invert_matrix_adds_factors_of_one_directly(monkeypatch):
             ((a, one(k)), (one(k), zero(k))),        # 1 beside pivot a
             ((one(k), a), (-one(k), zero(k))),       # -1 below a pivot
             ((zero(k), -b), (a * b, one(k))))        # pivot -b off (0, 0)
-    ident = {(0, 0, 0): 1}
-    seen, checking = [], []
-    real_addmul, real_check = _kernel.ring_addmul, hermform._is_inverse
+    units = ({(0, 0, 0): 1}, {(0, 0, 0): -1})
+    seen = []
+    real_addmul = _kernel.ring_addmul
 
     def addmul(acc, p, q, k):
-        if not checking:
-            seen.append(p == ident or q == ident)
+        seen.append(p in units or q in units)
         return real_addmul(acc, p, q, k)
-
-    def check(A, C, k):
-        checking.append(True)
-        try:
-            return real_check(A, C, k)
-        finally:
-            checking.clear()
 
     def order(W):
         return [[list(x.terms.items()) for x in row] for row in W]
 
     monkeypatch.setattr(_kernel, "ring_addmul", addmul)
-    monkeypatch.setattr(hermform, "_is_inverse", check)
-    monkeypatch.setattr(hermform, "_add_product", addmul)
-    want = [hermform.invert_matrix(M, k) for M in mats]
-    assert all(W is not None for W in want)
-    assert any(seen)  # the updates through the kernel multiply by 1
-    monkeypatch.undo()
-    monkeypatch.setattr(_kernel, "ring_addmul", addmul)
-    monkeypatch.setattr(hermform, "_is_inverse", check)
-    seen.clear()
     got = [hermform.invert_matrix(M, k) for M in mats]
-    assert seen and not any(seen)
+    assert all(W is not None for W in got)
+    assert any(seen)  # factors of +-1 reach the kernel
+    monkeypatch.setattr(_kernel, "ring_addmul", law_addmul)
+    want = [hermform.invert_matrix(M, k) for M in mats]
     assert [order(W) for W in got] == [order(W) for W in want]
 
 
@@ -817,6 +798,38 @@ def test_verify_inverse_agrees_with_the_direct_product():
     assert verdicts == {True, False}
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3, -2, -3)), st.sampled_from(((1, 0), (2, 0))),
+       st.integers(1, 2), st.randoms(use_true_random=False),
+       st.sampled_from(("kept", "entry", "below", "source", "rows")))
+def test_verify_inverse_agrees_on_random_transports(k, shape, times, rng,
+                                                    how):
+    """On small forms transported once or twice by random unit
+    triangular U, verify_inverse(g, D), one product with involute(U),
+    agrees with the direct check A2 D = 1: for the derived certificate,
+    for it with one entry changed anywhere or below the diagonal, for
+    the certificate of the source form, and for it with two rows
+    swapped."""
+    f = hermform.even_reference_form(k, *shape)
+    g = f
+    for _ in range(times):
+        g = congruence(g, random_unit_triangular(rng, k, g.rank, max_terms=2))
+    assert g._check[1] != 1
+    D = [list(row) for row in (f.inverse if how == "source" else g.inverse)]
+    n = g.rank
+    if how in ("entry", "below"):
+        r = rng.randrange(1, n) if how == "below" else rng.randrange(n)
+        c = rng.randrange(r) if how == "below" else rng.randrange(n)
+        w = "".join(rng.choice("aAbB") for _ in range(rng.randint(0, 3)))
+        D[r][c] = D[r][c] + GroupRingElt.from_word(k, w, rng.choice((-1, 1)))
+    elif how == "rows":
+        D[0], D[-1] = D[-1], D[0]
+    want = hermform._is_inverse(g.matrix, hermform._freeze(D), k)
+    assert verify_inverse(g, D) is want
+    if how in ("kept", "entry", "below"):
+        assert want is (how == "kept")
+
+
 @pytest.mark.parametrize("k", [2, -3])
 @pytest.mark.parametrize("r, e8", [(1, 0), (2, 0), (3, 0), (0, 1), (1, 1)])
 def test_congruence_is_the_full_products(k, r, e8):
@@ -840,34 +853,61 @@ def test_congruence_is_the_full_products(k, r, e8):
             assert g.inverse[i][j] == C2[i][j], (i, j)
 
 
-def test_verify_inverse_multiplies_through_ubar_and_the_source(monkeypatch):
-    """On a transported form, verify_inverse takes the products of
-    involute(U) C and of A X, for A the source form's matrix and X the
-    first product, and no other: none with L = U^T A."""
+def test_verify_inverse_takes_one_product_with_ubar(monkeypatch):
+    """On a transported form, verify_inverse takes the one product
+    involute(U) C and no other: its kernel calls are those of that
+    product, each an entry of the kept involute(U) times one of C, so
+    none with the source matrix A, with U^T A or with the form matrix.
+    The target is C_f W*, for C_f the source certificate and
+    W = involute(U)^-1."""
     k = 2
     f = hermform.even_reference_form(k, hyperbolics=1, e8_blocks=1)
     U = random_unit_triangular(random.Random(89), k, f.rank, max_terms=1)
     g = congruence(f, U)
     ubar = hermform.mat_involute(U)
+    W = hermform.invert_matrix(ubar, k)
+    factor, target = g._check
+    assert factor == ubar and target == hermform.mat_mul(
+        f.inverse, hermform._star(W), k)
     calls = _KernelCalls(monkeypatch)
-    X, first = calls.products(lambda: hermform.mat_mul(ubar, g.inverse, k))
-    first_sizes = calls.last_sizes
-    _, second = calls.products(lambda: hermform.mat_mul(f.matrix, X, k))
-    second_sizes = calls.last_sizes
+    _, want = calls.products(lambda: hermform.mat_mul(ubar, g.inverse, k))
+    sizes = calls.last_sizes
     verdict, spent = calls.products(lambda: verify_inverse(g, g.inverse))
-    assert verdict is True and spent == first + second
-    assert calls.last_sizes == first_sizes + second_sizes
-    m = len(first_sizes)
-    ubar_terms = [p.terms for row in ubar for p in row]
+    assert verdict is True and spent == want and calls.last_sizes == sizes
+    kept = [p.terms for row in factor for p in row]
     cert = [p.terms for row in g.inverse for p in row]
-    source = [p.terms for row in f.matrix for p in row]
-    for p, q in calls.last[:m]:
-        assert p in ubar_terms and any(q is t for t in cert)
-    for p, q in calls.last[m:]:
-        assert any(p is t for t in source)
-    # and the source is not L = U^T A
-    L = hermform.mat_mul(hermform.mat_transpose(U), f.matrix, k)
-    assert any(p.terms not in source for row in L for p in row)
+    for p, q in calls.last:
+        assert any(p is t for t in kept) and any(q is t for t in cert)
+
+
+def test_derived_forms_skip_the_hermitian_check(monkeypatch):
+    """orthogonal_sum puts hermitian blocks on the diagonal, and
+    congruence fills the lower half of each product by the involution,
+    so neither form is checked again entry by entry: the sum takes no
+    involute at all, and the transport only those its products need.
+    A plain form of the same matrix takes one per entry on and above
+    the diagonal."""
+    k = 3
+    f = hermform.even_reference_form(k, hyperbolics=1)
+    e8 = hermform.from_integer_matrix(k, intlinalg.e8_matrix())
+    U = random_unit_triangular(random.Random(91), k, 10, max_terms=1)
+    count = []
+    real = GroupRingElt.involute
+
+    def involute(p):
+        count.append(p)
+        return real(p)
+
+    monkeypatch.setattr(GroupRingElt, "involute", involute)
+    s = hermform.orthogonal_sum(f, e8)
+    assert count == []
+    HermitianForm(k, s.matrix)
+    assert len(count) == 10 * 11 // 2
+    count.clear()
+    congruence(s, U)
+    # involute(U), W* and (W C)*, and one mirror per entry below the
+    # diagonal of each of the two hermitian products
+    assert len(count) == 3 * 100 + 2 * (10 * 9 // 2)
 
 
 def test_orthogonal_sum_derives_its_certificate(monkeypatch):

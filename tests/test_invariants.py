@@ -11,6 +11,7 @@ import pytest
 
 from bsfour import foxchain, hermform, intlinalg
 from bsfour.errors import (
+    CertificateError,
     DescriptorError,
     GroupMismatchError,
     InconsistentDescriptorError,
@@ -403,6 +404,26 @@ def test_classify_with_transported_certificate():
     assert classify(df, dg, isometry=identity_matrix(k, 4)).verdict == \
         "Unknown"
     assert classify(df, dg).verdict == "Unknown"
+
+
+def test_isometry_inverse_reverses_a_constant_isometry():
+    """U = [[2, 5], [3, 8]] carries H to [[12, 31], [31, 80]].  No entry
+    of U is +-1, so trivial-unit elimination cannot invert it, but its
+    entries are integer constants: isometry_inverse lifts the integer
+    inverse, which carries the pair back the other way."""
+    k = 2
+    h = ManifoldDescriptor(k, hermform.hyperbolic(k, 1), W2Type.II, 0)
+    f = ManifoldDescriptor(k, hermform.from_integer_matrix(
+        k, [[12, 31], [31, 80]]), W2Type.II, 0)
+    U = hermform._constants(k, [[2, 5], [3, 8]])
+    assert hermform.invert_matrix(hermform.mat_involute(U), k) is None
+    assert classify(f, h, isometry=U).verdict == "Homeomorphic"
+    V = isometry_inverse(U, k)
+    assert V == hermform._constants(k, [[8, -5], [-3, 2]])
+    assert classify(h, f, isometry=V).verdict == "Homeomorphic"
+    # a constant U that is not unimodular has no inverse to give
+    with pytest.raises(CertificateError):
+        isometry_inverse(hermform._constants(k, [[2, 5], [4, 8]]), k)
 
 
 def test_classify_json_shape():

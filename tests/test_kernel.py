@@ -1,10 +1,13 @@
 """The ring convolution of the kernel against the affine law in Fractions.
 
 _kernel.ring_addmul(out, p, q, k) adds p * q to out in place, with the
-group law of B(k) written out inside its loop.  The oracle maps every
+group law of B(k) written out inside its loop, and a constant operand
+c 1 scaling the other one without the group law.  The oracle maps every
 term to (x, t) through support.x_fraction and multiplies with
 (x1, t1) (x2, t2) = (x1 + k^t1 x2, t1 + t2) in exact rationals; for
-k = 0 the generator b dies and x is 0.
+k = 0 the generator b dies and x is 0.  support.law_addmul, the loop
+pair by pair through bsgroup.multiply, is the oracle of the order in
+which terms enter out.
 """
 
 import sys
@@ -15,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from bsfour import _kernel, bsgroup
 
-from support import element, x_fraction
+from support import element, law_addmul, x_fraction
 
 KS = (0, 1, -1, 2, -2, 3, -3, 6, -10)
+CONSTANTS = (1, -1, 2, -2, 3)
 
 
 def elements(k):
@@ -36,13 +40,18 @@ def ring_terms(k, max_size):
                            max_size=max_size)
 
 
+def constants():
+    return st.sampled_from(CONSTANTS).map(lambda c: {(0, 0, 0): c})
+
+
 @st.composite
 def operands(draw):
-    """(out, p, q, k); out holds its own terms and, for some pairs of
-    terms of p and q, the negated product, so that the sum cancels."""
+    """(out, p, q, k); p or q is often a constant c 1.  out holds its
+    own terms and, for some pairs of terms of p and q, the negated
+    product, so that the sum cancels."""
     k = draw(st.sampled_from(KS))
-    p = draw(ring_terms(k, 5))
-    q = draw(ring_terms(k, 5))
+    p = draw(st.one_of(constants(), ring_terms(k, 5)))
+    q = draw(st.one_of(constants(), ring_terms(k, 5)))
     out = draw(ring_terms(k, 3))
     for g1, c1 in p.items():
         for g2, c2 in q.items():
@@ -80,6 +89,18 @@ def test_ring_addmul_matches_affine_law(case):
         assert _kernel.bs_reduce(*g, k) == g
 
 
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(operands())
+def test_constant_factor_keeps_the_order_of_the_loop(case):
+    # with a constant operand or without, out ends with the items, in
+    # the order, that the group-law loop gives pair by pair,
+    # cancellations included
+    out, p, q, k = case
+    want = law_addmul(dict(out), p, q, k)
+    got = _kernel.ring_addmul(dict(out), p, q, k)
+    assert list(got.items()) == list(want.items())
+
+
 def lines_run(func, *args):
     """Lines executed inside func's own frame during func(*args)."""
     count = 0
@@ -98,6 +119,22 @@ def lines_run(func, *args):
     finally:
         sys.settrace(None)
     return count
+
+
+def test_constant_factor_skips_the_group_law():
+    # c 1 times p, on either side, runs the same few lines per term of
+    # p, fewer than the group law runs for a monomial factor a
+    k = 2
+    p = {tuple(element(n, 3, t, k)): 1
+         for n, t in ((1, 2), (3, -1), (-5, 4))}
+    for c in CONSTANTS:
+        one, a = {(0, 0, 0): c}, {(0, 0, 1): c}
+        left = lines_run(_kernel.ring_addmul, {}, one, p, k)
+        right = lines_run(_kernel.ring_addmul, {}, p, one, k)
+        assert abs(left - right) <= 1
+        assert max(left, right) < min(
+            lines_run(_kernel.ring_addmul, {}, a, p, k),
+            lines_run(_kernel.ring_addmul, {}, p, a, k))
 
 
 def test_unit_k_products_cost_no_work_per_exponent():
