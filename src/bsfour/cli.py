@@ -183,9 +183,7 @@ def _form_summary(f):
 def _read_form(path, try_invert):
     f = HermitianForm.from_json(_load_json(path))
     if try_invert and f.inverse is None:
-        inverse = hermform.try_invert(f)
-        if inverse is not None:
-            f = f.with_inverse(inverse)
+        f = hermform.try_invert(f) or f
     return f
 
 

@@ -7,10 +7,13 @@ vectors by s(x, y) = x A involute(y)^T, linear in x.
 Invertibility over the group ring is never decided heuristically:
 either a certificate C with A C = 1 is produced and checked by exact
 multiplication, or the answer is unknown; C A = 1 follows (the proof
-is at _is_inverse).  Every inverse comes from invert_matrix,
-Gauss-Jordan elimination with trivial-unit pivots +-g: sound, not
-complete, and never failing on a unit triangular matrix.  A product is
-compared with its target entry by entry, as it is summed.
+is at _is_inverse).  Every inverse comes from invert_matrix: the lifted
+integer inverse for a matrix of integer constants, otherwise
+Gauss-Jordan elimination with trivial-unit pivots +-g, then one check;
+sound, not complete, and never failing on a unit triangular matrix.
+try_invert, congruence and isometry_inverse all call it, and a form
+that try_invert certifies is not checked again.  A product is compared
+with its target entry by entry, as it is summed.
 verify_isometry builds no inverse: the isometry equation proves the
 isometry invertible.  congruence and orthogonal_sum derive their
 matrices and certificates from checked parts instead of checking them
@@ -218,9 +221,6 @@ class HermitianForm:
     def rank(self):
         return len(self.matrix)
 
-    def with_inverse(self, inverse):
-        return HermitianForm(self.k, self.matrix, inverse, self.arf)
-
     def to_json(self):
         doc = {"k": self.k,
                "matrix": [[p.to_json() for p in row] for row in self.matrix]}
@@ -359,12 +359,31 @@ def orthogonal_sum(f, g):
 
 
 def invert_matrix(mat, k):
-    """Invert a square matrix over the group ring by Gauss-Jordan
-    elimination with trivial-unit pivots (+-g only).  Sound but not
-    complete: returns an inverse checked by _is_inverse, or None."""
-    # On a unit upper or lower triangular matrix the elimination never
-    # fails, and congruence relies on that to transport certificates.
-    # Rows already pivoted never change row i's entry at (i, i), so the
+    """Invert a square matrix over the group ring: a matrix of integer
+    constants by lifting its integer inverse, any other by _eliminate.
+    Sound but not complete: returns an inverse checked by _is_inverse,
+    or None.  It never fails on a unit triangular matrix, and congruence
+    relies on that to transport certificates."""
+    if all(p.terms.keys() <= _ONE.keys() for row in mat for p in row):
+        # The augmentation is the identity on constants, so inv is the
+        # integer inverse of mat; Z -> Z[B(k)] is a ring map, so its lift
+        # is the inverse over the group ring, even where the +-g pivots
+        # of _eliminate get stuck, as on E8.  A unit triangular matrix of
+        # constants has determinant 1.
+        inv = intlinalg.unimodular_inverse([[p.augment() for p in row]
+                                            for row in mat])
+        inv = _constants(k, inv) if inv is not None else None
+    else:
+        inv = _eliminate(mat, k)
+    return inv if inv is not None and _is_inverse(mat, inv, k) else None
+
+
+def _eliminate(mat, k):
+    """Gauss-Jordan elimination of a square matrix with trivial-unit
+    pivots (+-g only): the inverse, unchecked, or None when no pivot is
+    left."""
+    # On a unit upper or lower triangular matrix it never fails.  Rows
+    # already pivoted never change row i's entry at (i, i), so the
     # pivot is always that entry, which is 1.  The step at a pivot p < i
     # subtracts M[i][p] M[p][i] from it.  If the matrix is upper
     # triangular, M[i][p] = 0: no step touches row i before its own.  If
@@ -403,38 +422,19 @@ def invert_matrix(mat, k):
             row[i] = {}  # row[i] - row[i] M[i][i], as M[i][i] = 1
     # swapping columns i and c of mat swaps rows i and c of its inverse
     rows = dict(zip(perm, M))
-    inv = tuple(tuple(GroupRingElt._raw(k, t) for t in rows[q][n:])
-                for q in range(n))
-    return inv if _is_inverse(mat, inv, k) else None
+    return tuple(tuple(GroupRingElt._raw(k, t) for t in rows[q][n:])
+                 for q in range(n))
 
 
 def try_invert(f):
-    """Verified inverse of the form matrix, or None (unknown).  The
-    augmented matrix must be invertible over Z, which rejects most
-    non-invertible forms immediately.  A form of integer constants gets
-    the integer inverse, lifted; any other goes to invert_matrix."""
-    C = _lifted_inverse(f.matrix, f.k)
-    if C is not None or intlinalg.unimodular_inverse(
-            augment_form(f)) is None:
-        return C
-    return invert_matrix(f.matrix, f.k)
-
-
-def _lifted_inverse(M, k):
-    """The inverse of a square matrix of integer constants, checked by
-    _is_inverse; None if M is not one or its inverse is not integral."""
-    # The augmentation is the identity on constants, so inv is the
-    # integer inverse of M; Z -> Z[B(k)] is a ring map, so its lift is
-    # the inverse over the group ring (the one invert_matrix would give),
-    # even where the +-g pivots of invert_matrix get stuck, as on E8.
-    if not all(p.terms.keys() <= _ONE.keys() for row in M for p in row):
+    """f with a verified inverse of its matrix attached, or None
+    (unknown).  The augmented matrix must be invertible over Z, which
+    rejects most non-invertible forms immediately; the inverse is
+    invert_matrix's, checked there and not again."""
+    if intlinalg.unimodular_inverse(augment_form(f)) is None:
         return None
-    inv = intlinalg.unimodular_inverse([[p.augment() for p in row]
-                                        for row in M])
-    if inv is None:
-        return None
-    C = _constants(k, inv)
-    return C if _is_inverse(M, C, k) else None
+    C = invert_matrix(f.matrix, f.k)
+    return None if C is None else _DerivedForm(f.k, f.matrix, C, f.arf)
 
 
 def verify_inverse(f, C):
@@ -460,10 +460,12 @@ def verify_inverse(f, C):
 
 
 class _DerivedForm(HermitianForm):
-    """A form derived from checked parts by congruence or orthogonal_sum:
-    of the constructor's checks only the hermitian one and the product
-    of certificate and matrix are skipped.  check, when given, replaces
-    verify_inverse's (F, T)."""
+    """A form derived from checked parts by congruence, orthogonal_sum
+    or try_invert: of the constructor's checks only the hermitian one
+    and the product of certificate and matrix are skipped.  check, when
+    given, replaces verify_inverse's (F, T).  try_invert attaches to
+    f.matrix, checked hermitian when f was built (forms are read-only),
+    the inverse that invert_matrix checked."""
 
     __slots__ = ()
 
@@ -482,7 +484,7 @@ class _DerivedForm(HermitianForm):
 
 def congruence(f, U):
     """The form U^T A involute(U).  When f has a certificate C and
-    W = involute(U)^-1 is found, the form gets W C W* and keeps
+    invert_matrix finds W = involute(U)^-1, the form gets W C W* and keeps
     involute(U) and C W* for verify_inverse; otherwise it is a plain
     form without a certificate.  Both products are hermitian: only the
     entries on and above the diagonal are multiplied out, the rest are
@@ -539,18 +541,14 @@ def verify_isometry(f, g, U):
 
 def isometry_inverse(U, k):
     """The certificate for the reversed isometry: if U carries f ~ g
-    then involute(involute(U)^-1) carries g ~ f.  A U of integer
-    constants gets its lifted integer inverse; any other U whose
-    elimination finds no +-g pivot raises CertificateError.  A caller
+    then involute(involute(U)^-1) carries g ~ f.  A U for which
+    invert_matrix finds no inverse raises CertificateError.  A caller
     holding the forms needs no inverse: X^T is the reversed isometry
     for X = A_g involute(U) C_f (see verify_isometry)."""
-    V = _lifted_inverse(U, k)  # a constant U is its own involute
-    if V is not None:
-        return V
     W = invert_matrix(mat_involute(U), k)
     if W is None:
-        raise CertificateError("certificate is not invertible"
-                               " by trivial-unit elimination")
+        raise CertificateError("no inverse of the isometry certificate"
+                               " was found")
     return mat_involute(W)
 
 

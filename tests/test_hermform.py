@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsfour import _kernel, cli, hermform, intlinalg
-from bsfour.errors import CertificateError, GroupMismatchError, SchemaError
+from bsfour.errors import (CertificateError, GroupMismatchError,
+                           InconsistentDescriptorError, SchemaError)
 from bsfour.groupring import GroupRingElt
 from bsfour.hermform import (HermitianForm, Parity, congruence, hyperbolic,
                              isometry_inverse, parity, try_invert,
                              verify_inverse)
+from bsfour.invariants import ManifoldDescriptor, W2Type
 
 from support import (assert_isometry_invertible, law_addmul, mat_product,
                      random_ring_elt, random_unimodular,
@@ -90,6 +92,16 @@ def test_parity_examples():
     assert parity(f) is Parity.ODD
 
 
+def test_parity_reads_every_diagonal_entry():
+    """[[0, 1], [1, 1]] is odd through its second diagonal entry alone,
+    so a type II descriptor of it is inconsistent."""
+    for k in (2, 3):
+        f = const_form(k, [[0, 1], [1, 1]])
+        assert parity(f) is Parity.ODD
+        with pytest.raises(InconsistentDescriptorError):
+            ManifoldDescriptor(k, f, W2Type.II, 0)
+
+
 @pytest.mark.parametrize("k", [-3, -2, 2, 3])
 def test_sesquilinear_rules(k):
     rng = random.Random(9000 + k)
@@ -148,12 +160,23 @@ def test_orthogonal_sum_certificates_and_arf():
     assert s.arf.mode == "extended-from-Z"
 
 
+def test_orthogonal_sum_adds_arf_values_mod_2():
+    k = 2
+    odd = hermform.ArfTag("asserted", 1)
+    f = HermitianForm(k, hyperbolic(k, 1).matrix, arf=odd)
+    assert hermform.orthogonal_sum(f, f).arf == hermform.ArfTag("asserted", 0)
+    g = hyperbolic(k, 1)  # extended from Z: 0
+    assert hermform.orthogonal_sum(f, g).arf == odd
+    assert hermform.orthogonal_sum(g, g).arf == g.arf
+
+
 def test_try_invert_examples():
     assert try_invert(const_form(2, [[2]])) is None
     k = 2
     h = hyperbolic(k, 1)
-    C = try_invert(h)
-    assert C is not None and verify_inverse(h, C)
+    g = try_invert(HermitianForm(k, h.matrix))
+    assert g is not None and g.matrix == h.matrix and g.arf is None
+    assert verify_inverse(h, g.inverse)
     # (0, pbar; p, 0) is invertible only when p is a unit; p = 1 - a
     # augments to 0 so the fast determinant test rejects it
     p = one(k) - GroupRingElt.from_word(k, "a")
@@ -164,11 +187,13 @@ def test_try_invert_examples():
 def test_try_invert_lifts_the_integer_inverse_of_a_constant_form():
     E = intlinalg.e8_matrix()
     for k in (2, 3, -2, 0, 1):
-        # E8: no +-g pivot takes elimination through it
+        # E8: no +-g pivot takes elimination through it, but invert_matrix
+        # lifts its integer inverse, and try_invert attaches that
         bare = HermitianForm(k, const_form(k, E).matrix)
-        assert hermform.invert_matrix(bare.matrix, k) is None
-        C = try_invert(bare)
+        assert hermform._eliminate(bare.matrix, k) is None
+        C = hermform.invert_matrix(bare.matrix, k)
         assert C == const_form(k, E).inverse
+        assert try_invert(bare).inverse == C
         assert verify_inverse(bare, C)
         # where elimination does invert a constant form, the certificate
         # is the same: a two-sided inverse is unique
@@ -182,15 +207,17 @@ def test_try_invert_lifts_the_integer_inverse_of_a_constant_form():
                       for b in range(n)) for j in range(n)]
                  for i in range(n)]
             f = HermitianForm(k, const_form(k, S).matrix)
-            W = hermform.invert_matrix(f.matrix, k)
+            W = hermform._eliminate(f.matrix, k)
+            C = hermform.invert_matrix(f.matrix, k)
             if W is not None:
                 eliminated += 1
-                assert try_invert(f) == W
-            else:
-                assert verify_inverse(f, try_invert(f))
+                assert C == W
+            assert try_invert(f).inverse == C
+            assert verify_inverse(f, C)
         assert eliminated >= 4
     # not unimodular: no certificate
     f = HermitianForm(2, const_form(2, [[2, 1], [1, 2]]).matrix)
+    assert hermform.invert_matrix(f.matrix, 2) is None
     assert try_invert(f) is None
 
 
@@ -200,9 +227,9 @@ def test_try_invert_transformed_hyperbolics(k):
     for _ in range(10):
         f = random_certificated(rng, k, r=rng.randint(1, 2))
         stripped = HermitianForm(k, f.matrix)  # drop the certificate
-        C = try_invert(stripped)
-        assert C is not None
-        assert verify_inverse(stripped, C)
+        g = try_invert(stripped)
+        assert g is not None and g.matrix == f.matrix
+        assert verify_inverse(stripped, g.inverse)
 
 
 def identity(k, n):
@@ -292,6 +319,17 @@ def test_verify_isometry_requires_invertible_certificate():
     assert verify_isometry(f, f, ((two,),)) is False
 
 
+def test_verify_isometry_checks_the_entries_of_its_certificate():
+    """An entry of U that is no ring element, or one over another k, is
+    refused before anything is multiplied."""
+    k = 2
+    h = hyperbolic(k, 1)
+    for entry, error in ((1, SchemaError), (one(3), GroupMismatchError)):
+        U = ((one(k), entry), (zero(k), one(k)))
+        with pytest.raises(error):
+            verify_isometry(h, h, U)
+
+
 def test_verify_isometry_needs_a_certificate_of_the_first_form():
     """The proof that an accepted U^T is invertible uses the certificate
     of the first form, so a first form without one raises; the second
@@ -306,13 +344,13 @@ def test_verify_isometry_needs_a_certificate_of_the_first_form():
 
 def test_verify_isometry_accepts_what_elimination_cannot_invert():
     """U = [[2, 5], [3, 8]] has determinant 1 but no entry +-1, so the
-    +-g pivots of invert_matrix find nothing in it; it carries H to
+    +-g pivots of _eliminate find nothing in it; it carries H to
     [[12, 31], [31, 80]], and U^T has the inverse A_g Ubar C_f.  So do
     the transports of H^r by U = M D, M a block sum of that matrix and
     D a diagonal of monomials, whose entries are no trivial units."""
     k = 2
     U = hermform._constants(k, [[2, 5], [3, 8]])
-    assert hermform.invert_matrix(U, k) is None
+    assert hermform._eliminate(U, k) is None
     f, h = const_form(k, [[12, 31], [31, 80]]), hyperbolic(k, 1)
     assert verify_isometry(f, h, U)
     assert_isometry_invertible(f, h, U)
@@ -321,7 +359,7 @@ def test_verify_isometry_accepts_what_elimination_cannot_invert():
     for i in range(6):
         k = (2, 3, -2)[i % 3]
         g, C, U = _plain_transport(rng, k, 1 + i % 2)
-        assert hermform.invert_matrix(U, k) is None
+        assert hermform._eliminate(U, k) is None
         f = HermitianForm(k, g.matrix, C)
         assert verify_isometry(f, hyperbolic(k, g.rank // 2), U)
         assert_isometry_invertible(f, hyperbolic(k, g.rank // 2), U)
@@ -652,6 +690,58 @@ def test_mat_mul_skips_empty_operands(monkeypatch):
         * sum(1 for x in W[p] if x) for p in range(n))
 
 
+def test_try_invert_checks_its_certificate_once(monkeypatch):
+    """try_invert attaches the inverse that invert_matrix checked: it
+    takes the kernel products of invert_matrix and no more, so the form
+    it returns takes no second product A C, and no involute, so no
+    second hermitian check.  Checked on a constant form, which takes the
+    lift, and on a transported one, which takes the elimination."""
+    k = 3
+    forms = (HermitianForm(k, const_form(k, intlinalg.e8_matrix()).matrix),
+             HermitianForm(k, random_certificated(random.Random(95), k,
+                                                  r=2).matrix))
+    checked, involuted = [], []
+    real_check, real_involute = hermform._is_inverse, GroupRingElt.involute
+
+    def check(A, C, k):
+        checked.append(A)
+        return real_check(A, C, k)
+
+    def involute(p):
+        involuted.append(p)
+        return real_involute(p)
+
+    monkeypatch.setattr(hermform, "_is_inverse", check)
+    monkeypatch.setattr(GroupRingElt, "involute", involute)
+    calls = _KernelCalls(monkeypatch)
+    for f in forms:
+        C, want = calls.products(lambda: hermform.invert_matrix(f.matrix, k))
+        assert C is not None and want > 0 and checked == [f.matrix]
+        checked.clear()
+        involuted.clear()
+        g, spent = calls.products(lambda: try_invert(f))
+        assert spent == want and checked == [f.matrix] and not involuted
+        assert g.matrix == f.matrix and g.inverse == C
+        assert verify_inverse(f, g.inverse)
+        checked.clear()
+
+
+def test_congruence_by_a_constant_unimodular_matrix_keeps_the_certificate():
+    """U = [[2, 5], [3, 8]] has no entry +-1, so no trivial-unit pivot
+    eliminates involute(U), but invert_matrix lifts its integer inverse:
+    the transport of H by U carries a certificate, which verify_inverse
+    accepts and the direct product confirms."""
+    for k in (2, -3):
+        U = hermform._constants(k, [[2, 5], [3, 8]])
+        g = congruence(hyperbolic(k, 1), U)
+        assert g.matrix == const_form(k, [[12, 31], [31, 80]]).matrix
+        assert g.inverse is not None
+        assert verify_inverse(g, g.inverse)
+        assert mat_product(g.matrix, g.inverse, k) == identity(k, 2)
+        assert mat_product(g.inverse, g.matrix, k) == identity(k, 2)
+        assert hermform._eliminate(hermform.mat_involute(U), k) is None
+
+
 def test_wrong_certificate_fails_at_its_first_entry(monkeypatch):
     """A C = 1 is checked one entry at a time: a certificate wrong at
     (0, 0) is rejected after the products of that entry alone, at most
@@ -729,9 +819,10 @@ def _plain_transport(rng, k, r):
     """congruence of H^r by U = M D, where M is the block sum of r
     copies of the unimodular [[2, 5], [3, 8]] and D a diagonal of
     monomials +-w: no entry of involute(U) is a trivial unit, so the
-    elimination finds no pivot and congruence returns a plain form.
-    Returns it with its inverse, built from the integer inverse of M,
-    and U."""
+    elimination finds no pivot.  Unless every monomial is +-1, U is no
+    constant matrix either, invert_matrix finds no inverse and congruence
+    returns a plain form.  Returns the form with its inverse, built from
+    the integer inverse of M, and U."""
     f = hyperbolic(k, r)
     n = f.rank
     M = [[0] * n for _ in range(n)]
@@ -744,22 +835,27 @@ def _plain_transport(rng, k, r):
           if i == j else zero(k) for j in range(n)] for i in range(n)]
     U = hermform.mat_mul(hermform._constants(k, M), D, k)
     ubar = hermform.mat_involute(U)
-    assert hermform.invert_matrix(ubar, k) is None
+    assert hermform._eliminate(ubar, k) is None
     # involute(U) = M involute(D), and involute(D)^-1 = D
     W = hermform.mat_mul(D, hermform._constants(
         k, intlinalg.unimodular_inverse(M)), k)
     assert hermform._is_inverse(ubar, W, k)
+    C = hermform.mat_mul(hermform.mat_mul(W, f.inverse, k),
+                         hermform._star(W), k)
     g = congruence(f, U)
-    assert type(g) is HermitianForm and g.inverse is None
-    return g, hermform.mat_mul(hermform.mat_mul(W, f.inverse, k),
-                               hermform._star(W), k), U
+    if any(D[i][i].terms.keys() != {(0, 0, 0)} for i in range(n)):
+        assert hermform.invert_matrix(ubar, k) is None
+        assert type(g) is HermitianForm and g.inverse is None
+    else:
+        assert hermform.invert_matrix(ubar, k) == W and g.inverse == C
+    return g, C, U
 
 
 def test_verify_inverse_agrees_with_the_direct_product():
     """verify_inverse gives the verdict of the direct product A C = 1:
     for forms transported once and twice, whose factors it multiplies
     through and whose W* it compares with, and for plain forms that
-    congruence returns when the elimination finds no W; over k of both
+    congruence returns when invert_matrix finds no W; over k of both
     signs, E8 among them; for the certificate, a tampered one, one
     tampered only below the diagonal, and wrong shapes."""
     rng = random.Random(88)

@@ -409,14 +409,18 @@ def test_classify_with_transported_certificate():
 def test_isometry_inverse_reverses_a_constant_isometry():
     """U = [[2, 5], [3, 8]] carries H to [[12, 31], [31, 80]].  No entry
     of U is +-1, so trivial-unit elimination cannot invert it, but its
-    entries are integer constants: isometry_inverse lifts the integer
-    inverse, which carries the pair back the other way."""
+    entries are integer constants: invert_matrix lifts the integer
+    inverse, and isometry_inverse turns it into the certificate that
+    carries the pair back the other way."""
     k = 2
     h = ManifoldDescriptor(k, hermform.hyperbolic(k, 1), W2Type.II, 0)
     f = ManifoldDescriptor(k, hermform.from_integer_matrix(
         k, [[12, 31], [31, 80]]), W2Type.II, 0)
     U = hermform._constants(k, [[2, 5], [3, 8]])
-    assert hermform.invert_matrix(hermform.mat_involute(U), k) is None
+    ubar = hermform.mat_involute(U)
+    assert hermform._eliminate(ubar, k) is None
+    assert hermform.invert_matrix(ubar, k) == hermform._constants(
+        k, [[8, -5], [-3, 2]])
     assert classify(f, h, isometry=U).verdict == "Homeomorphic"
     V = isometry_inverse(U, k)
     assert V == hermform._constants(k, [[8, -5], [-3, 2]])
