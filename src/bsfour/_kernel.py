@@ -10,10 +10,9 @@ forced to 0; for |k| = 1 the exponent x is an integer and pow is 0.
 
 The convolution _addmul applies the group law inline to each pair of
 terms, with what depends on the left term alone worked out once for
-it.  A matrix product over the group ring runs hundreds of thousands
-of term products, and calling _mul (with _scale and _reduce) for each
-took about 30 % of the convolution's time.  _mul stays for single
-products: word evaluation, bsgroup.multiply and the Fox complex.
+it; a call to _mul per pair took about 30 % of its time.  _mul, for
+single products, does the loop's arithmetic for one pair, and _inv
+the inverse in the same closed form; both end in _reduce.
 
 A constant operand {(0, 0, 0): c} skips the group law (1 g = g 1 = g):
 _addmul adds c times each term of the other operand under its own key,
@@ -33,50 +32,35 @@ def _reduce(num, pow, t, k):
     return (num, pow, t)
 
 
-def _scale(num, pow, e, k):
-    # k^e * (num / |k|^pow), reduced.  Input must be reduced, k nonzero.
-    if num == 0:
-        return (0, 0)
-    kq = -k if k < 0 else k
-    if k < 0 and e & 1:
-        num = -num
-    if e >= 0:
-        if e >= pow:
-            return (num * kq ** (e - pow), 0)
-        return (num, pow - e)
-    pow -= e
-    if kq == 1:
-        return (num, 0)
-    while pow > 0 and num % kq == 0:
-        num //= kq
-        pow -= 1
-    return (num, pow)
-
-
 def _mul(g, h, k):
+    # One pair of _addmul's loop.  A num of 0 is never multiplied by a
+    # power of |k|, which may be as large as |k|^(|t1| + pow).
     n1, p1, t1 = g
     n2, p2, t2 = h
-    t = t1 + t2
-    if k == 0:
-        return (0, 0, t)
-    if n2 != 0:
-        n2, p2 = _scale(n2, p2, t1, k)
-    if n1 == 0:
-        return (n2, p2, t)
     if n2 == 0:
-        return (n1, p1, t)
+        return (n1, p1, t1 + t2)
     kq = -k if k < 0 else k
-    if p1 >= p2:
-        return _reduce(n1 + n2 * kq ** (p1 - p2), p1, t, k)
-    return _reduce(n1 * kq ** (p2 - p1) + n2, p2, t, k)
+    if k < 0 and t1 & 1:
+        n2 = -n2
+    d = p2 - t1 if kq > 1 else p2
+    if p1 >= d:
+        return _reduce(n1 + n2 * kq ** (p1 - d), p1, t1 + t2, k)
+    if n1:
+        n2 += n1 * kq ** (d - p1)
+    return _reduce(n2, d, t1 + t2, k)
 
 
 def _inv(g, k):
+    # (b^x a^t)^-1 = b^(-k^-t x) a^-t, where -k^-t x = (-+n) / |k|^(p + t)
     n, p, t = g
-    if k == 0 or n == 0:
+    if n == 0:
         return (0, 0, -t)
-    n, p = _scale(-n, p, -t, k)
-    return (n, p, -t)
+    kq = -k if k < 0 else k
+    n = n if k < 0 and t & 1 else -n
+    d = p + t if kq > 1 else p
+    if d < 0:
+        return (n * kq ** -d, 0, -t)
+    return _reduce(n, d, -t, k)
 
 
 def _addmul(out, p, q, k):

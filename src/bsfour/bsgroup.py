@@ -79,9 +79,21 @@ def _json_int(value, field):
     raise SchemaError("field %r must be a decimal integer string" % field)
 
 
+def _json_k(doc, missing):
+    """The int field k of a ring-element, form, matrix or descriptor
+    document, |k| within its limit whether it holds terms or not."""
+    k = doc.get("k")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise SchemaError(missing)
+    if abs(k) > MAX_JSON_K:
+        raise SchemaError("field 'k' must have |k| <= %d" % MAX_JSON_K)
+    return k
+
+
 def _json_terms(items, k):
     """Reduced (num, pow, t) -> nonzero coefficient, in order of first
-    appearance, checked in the order docs/schemas/element.md gives."""
+    appearance, checked in the order docs/schemas/element.md gives; k
+    was checked by _json_k."""
     acc = {}
     for item in items:
         if (not isinstance(item, dict) or len(item) != 2
@@ -97,9 +109,6 @@ def _json_terms(items, k):
         if len(doc) != 3:
             raise SchemaError("group element has an unknown field %r" % next(
                 f for f in doc if f not in ("num", "pow", "t")))
-        if abs(k) > MAX_JSON_K:
-            raise SchemaError("group elements are read only for |k| <= %d"
-                              % MAX_JSON_K)
         num = _json_int(doc["num"], "num")
         t = _json_int(doc["t"], "t")
         if t > MAX_JSON_EXPONENT or t < -MAX_JSON_EXPONENT:

@@ -141,23 +141,24 @@ def _cmd_fox(args):
 
 
 def _homology_pair(cx, modulus):
-    """The closed-form and the chain-complex homology in degrees 0-2 as
-    JSON, and the chain-complex groups themselves."""
-    closed = {"H%d" % d: invariants.homology_closed_form(
-        cx.k, d, modulus=modulus).to_json() for d in (0, 1, 2)}
+    """The closed-form and the chain-complex homology groups in degrees
+    0-2."""
+    closed = [invariants.homology_closed_form(cx.k, d, modulus=modulus)
+              for d in (0, 1, 2)]
     d2, d1 = foxchain.tensor_trivial(cx, modulus)
-    groups = intlinalg.homology_of_complex(d2, d1, modulus)
-    chain = {"H%d" % d: groups[d].to_json() for d in (0, 1, 2)}
-    return closed, chain, groups
+    return closed, intlinalg.homology_of_complex(d2, d1, modulus)
 
 
 def _cmd_homology(args):
     modulus = args.mod or 0
     cx = foxchain.build_complex(_check_k(args.k, MAX_CHAIN_K, "homology"))
-    closed, chain, _ = _homology_pair(cx, modulus)
+    closed, chain = _homology_pair(cx, modulus)
     return {"k": args.k,
             "coefficients": "Z" if modulus == 0 else "Z/2",
-            "closed_form": closed, "chain_complex": chain,
+            "closed_form": {"H%d" % d: g.to_json()
+                            for d, g in enumerate(closed)},
+            "chain_complex": {"H%d" % d: g.to_json()
+                              for d, g in enumerate(chain)},
             "agree": closed == chain}
 
 
@@ -227,18 +228,18 @@ def _parse_range(spec):
 
 def _report_row(k):
     cx = foxchain.build_complex(k)
-    closed, chain, _ = _homology_pair(cx, 0)
-    closed2, chain2, mod2 = _homology_pair(cx, 2)
+    closed, chain = _homology_pair(cx, 0)
+    closed2, chain2 = _homology_pair(cx, 2)
     # the type II bordism group is 8Z + H2(B(k); Z/2), the latter from
     # this complex: what stable_bordism_group(cx, W2Type.II) would
     # compute again
-    bordism = invariants.BordismDescription(k, W2Type.II, 8, mod2[2])
+    bordism = invariants.BordismDescription(k, W2Type.II, 8, chain2[2])
     table = invariants.lgroup_table(k)
     return {"k": k,
-            "H0": str(invariants.homology_closed_form(k, 0)),
-            "H1": str(invariants.homology_closed_form(k, 1)),
-            "H2": str(invariants.homology_closed_form(k, 2)),
-            "H2_mod2": str(invariants.homology_closed_form(k, 2, modulus=2)),
+            "H0": str(closed[0]),
+            "H1": str(closed[1]),
+            "H2": str(closed[2]),
+            "H2_mod2": str(closed2[2]),
             "whitehead": str(table.whitehead),
             "L4": str(table.l4),
             "L5": str(table.l5),

@@ -12,12 +12,13 @@ Z[B(k)] directly (foxchain.build_complex).
 
 JSON terms are read by one loop, bsgroup._json_terms, which
 GroupRingElt.from_json, and through it every matrix, form and
-descriptor reader, uses.  to_json writes the terms from the sorted keys
+descriptor reader, uses; each document's k is bounded once, by
+bsgroup._json_k.  to_json writes the terms from the sorted keys
 directly.
 """
 
 from . import _kernel, bsgroup
-from .bsgroup import _json_decimal, _json_element, _json_terms
+from .bsgroup import _json_decimal, _json_element, _json_k, _json_terms
 from .errors import GroupMismatchError, SchemaError
 
 _IDENT = (0, 0, 0)
@@ -150,9 +151,7 @@ class GroupRingElt:
     def from_json(cls, doc):
         if not isinstance(doc, dict):
             raise SchemaError("ring element must be a JSON object")
-        k = doc.get("k")
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise SchemaError("ring element needs an integer field 'k'")
+        k = _json_k(doc, "ring element needs an integer field 'k'")
         terms = doc.get("terms")
         if not isinstance(terms, list):
             raise SchemaError("ring element needs a list field 'terms'")

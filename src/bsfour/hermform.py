@@ -7,13 +7,15 @@ vectors by s(x, y) = x A involute(y)^T, linear in x.
 Invertibility over the group ring is never decided heuristically:
 either a certificate C with A C = 1 is produced and checked by exact
 multiplication, or the answer is unknown; C A = 1 follows (the proof
-is at _is_inverse).  Every inverse comes from invert_matrix: the lifted
-integer inverse for a matrix of integer constants, otherwise
-Gauss-Jordan elimination with trivial-unit pivots +-g, then one check;
-sound, not complete, and never failing on a unit triangular matrix.
-try_invert, congruence and isometry_inverse all call it, and a form
-that try_invert certifies is not checked again.  A product is compared
-with its target entry by entry, as it is summed.
+is at _is_inverse).  Every inverse that is searched for comes from
+invert_matrix: the lifted integer inverse for a matrix of integer
+constants, otherwise Gauss-Jordan elimination with trivial-unit pivots
++-g, then one check; sound, not complete, and never failing on a unit
+triangular matrix.  try_invert, congruence and isometry_inverse all
+call it, and a form that try_invert certifies is not checked again.
+hyperbolic and from_integer_matrix attach their known inverse, which
+their constructor checks.  A product is compared with its target entry
+by entry, as it is summed.
 verify_isometry builds no inverse: the isometry equation proves the
 isometry invertible.  congruence and orthogonal_sum derive their
 matrices and certificates from checked parts instead of checking them
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import _kernel, intlinalg
+from .bsgroup import _json_k
 from .errors import CertificateError, GroupMismatchError, SchemaError
 from .groupring import GroupRingElt
 
@@ -235,9 +238,7 @@ class HermitianForm:
     def from_json(doc):
         if not isinstance(doc, dict):
             raise SchemaError("form must be a JSON object")
-        k = doc.get("k")
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise SchemaError("form needs an integer field 'k'")
+        k = _json_k(doc, "form needs an integer field 'k'")
         matrix = _json_matrix(doc.get("matrix"), k, "matrix")
         inverse = None
         if "inverse" in doc:
@@ -271,9 +272,7 @@ def matrix_from_json(doc):
     """Parse {"k": int, "matrix": [[ring-elt JSON]]} into (k, rows)."""
     if not isinstance(doc, dict) or set(doc) != {"k", "matrix"}:
         raise SchemaError("matrix document needs exactly 'k' and 'matrix'")
-    k = doc["k"]
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise SchemaError("matrix document needs an integer 'k'")
+    k = _json_k(doc, "matrix document needs an integer 'k'")
     rows = _json_matrix(doc["matrix"], k, "matrix")
     if any(len(row) != len(rows[0]) for row in rows):
         raise SchemaError("matrix rows must all have the same length")
@@ -358,13 +357,17 @@ def orthogonal_sum(f, g):
     return _DerivedForm(k, block(f.matrix, g.matrix), cert, arf)
 
 
+def _is_constant(mat):
+    return all(p.terms.keys() <= _ONE.keys() for row in mat for p in row)
+
+
 def invert_matrix(mat, k):
     """Invert a square matrix over the group ring: a matrix of integer
     constants by lifting its integer inverse, any other by _eliminate.
     Sound but not complete: returns an inverse checked by _is_inverse,
     or None.  It never fails on a unit triangular matrix, and congruence
     relies on that to transport certificates."""
-    if all(p.terms.keys() <= _ONE.keys() for row in mat for p in row):
+    if _is_constant(mat):
         # The augmentation is the identity on constants, so inv is the
         # integer inverse of mat; Z -> Z[B(k)] is a ring map, so its lift
         # is the inverse over the group ring, even where the +-g pivots
@@ -430,8 +433,11 @@ def try_invert(f):
     """f with a verified inverse of its matrix attached, or None
     (unknown).  The augmented matrix must be invertible over Z, which
     rejects most non-invertible forms immediately; the inverse is
-    invert_matrix's, checked there and not again."""
-    if intlinalg.unimodular_inverse(augment_form(f)) is None:
+    invert_matrix's, checked there and not again.  A constant matrix is
+    its own augmentation, and invert_matrix's lift is None exactly when
+    this screen is, so it is not screened twice."""
+    if (not _is_constant(f.matrix)
+            and intlinalg.unimodular_inverse(augment_form(f)) is None):
         return None
     C = invert_matrix(f.matrix, f.k)
     return None if C is None else _DerivedForm(f.k, f.matrix, C, f.arf)

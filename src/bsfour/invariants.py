@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import foxchain, hermform, intlinalg
+from .bsgroup import _json_k
 from .errors import (
     DescriptorError,
     GroupMismatchError,
@@ -247,9 +248,7 @@ class ManifoldDescriptor:
         if not isinstance(doc, dict) or set(doc) != {"k", "form", "w2", "ks"}:
             raise SchemaError(
                 "descriptor needs exactly 'k', 'form', 'w2' and 'ks'")
-        k = doc["k"]
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise SchemaError("descriptor k must be an integer")
+        k = _json_k(doc, "descriptor k must be an integer")
         try:
             w2 = W2Type(doc["w2"])
         except ValueError:

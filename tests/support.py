@@ -267,16 +267,25 @@ def assert_isometry_invertible(f, g, U):
 
 
 def read_element(doc, k):
-    """A group element read from JSON by bsgroup._json_terms, as the
-    one element of a term of coefficient 1."""
-    (g,) = bsgroup._json_terms([{"coeff": 1, "elt": doc}], k)
+    """A group element read from JSON by GroupRingElt.from_json, as the
+    one element of a ring element over k with one term of coefficient
+    1: |k| is checked first, then the element."""
+    (g,) = GroupRingElt.from_json(
+        {"k": k, "terms": [{"coeff": 1, "elt": doc}]}).terms
     return BSElement(*g)
 
 
 # The JSON readers of ring and group elements as they were before one
 # loop (bsgroup._json_terms) read every term: a function call per
 # element and per integer field, kept as the oracle of that loop.  Like
-# the readers, they refuse an unknown field, naming the first one.
+# the readers, they refuse an unknown field, naming the first one.  The
+# bound on |k| of the enclosing document comes before everything it
+# holds, terms or none.
+
+def oracle_check_k(k):
+    if abs(k) > MAX_JSON_K:
+        raise SchemaError("field 'k' must have |k| <= %d" % MAX_JSON_K)
+
 
 def oracle_json_int(value, field):
     if isinstance(value, bool):
@@ -296,6 +305,7 @@ def oracle_json_int(value, field):
 
 
 def oracle_element_from_json(doc, k):
+    oracle_check_k(k)
     if not isinstance(doc, dict):
         raise SchemaError("group element must be a JSON object")
     for field in ("num", "pow", "t"):
@@ -305,9 +315,6 @@ def oracle_element_from_json(doc, k):
         if field not in ("num", "pow", "t"):
             raise SchemaError("group element has an unknown field %r"
                               % field)
-    if abs(k) > MAX_JSON_K:
-        raise SchemaError("group elements are read only for |k| <= %d"
-                          % MAX_JSON_K)
     num = oracle_json_int(doc["num"], "num")
     t = oracle_json_int(doc["t"], "t")
     if abs(t) > MAX_JSON_EXPONENT:
@@ -327,6 +334,7 @@ def oracle_ring_from_json(doc):
     k = doc.get("k")
     if not isinstance(k, int) or isinstance(k, bool):
         raise SchemaError("ring element needs an integer field 'k'")
+    oracle_check_k(k)
     terms = doc.get("terms")
     if not isinstance(terms, list):
         raise SchemaError("ring element needs a list field 'terms'")

@@ -756,6 +756,35 @@ def test_element_beyond_limit_exits_2_fast(capsys, tmp_path, doc, field):
     assert seconds < 1.0
 
 
+def test_document_k_beyond_limit_exits_2_without_terms(capsys, tmp_path):
+    """|k| is bounded once per document, not per term: a rank-0 form,
+    the zero form, an empty ring element as the entry of a form over
+    k = 2, a descriptor of the rank-0 form and an empty isometry
+    matrix, all over k = 10^300, each exit 2 with one line that names
+    the limit and does not echo k.  The first two were read, and the zero
+    form's k written back, before the bound was per document."""
+    big = 10 ** 300
+    rank0 = {"k": big, "matrix": []}
+    zero = {"k": big, "matrix": [[{"k": big, "terms": []}]]}
+    mixed = {"k": 2, "matrix": [[{"k": big, "terms": []}]]}
+    d = ManifoldDescriptor(2, hermform.hyperbolic(2, 1), W2Type.II, 0)
+    p = write(tmp_path / "d.json", d.to_json())
+    runs = [["form", write(tmp_path / "rank0.json", rank0)],
+            ["form", "--try-invert", write(tmp_path / "zero.json", zero)],
+            ["realize", write(tmp_path / "mixed.json", mixed)],
+            ["classify", write(tmp_path / "big.json", {
+                "k": big, "form": rank0, "w2": "II", "ks": 0}), p],
+            ["classify", p, p, "--isometry",
+             write(tmp_path / "u.json", {"k": big, "matrix": []})]]
+    for argv in runs:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        [line] = captured.err.splitlines()
+        assert str(bsgroup.MAX_JSON_K) in line and "|k|" in line, argv
+        assert len(line) < 100, argv
+
+
 def test_result_beyond_digit_limit_exits_2(capsys, tmp_path):
     """[[1, u], [u*, u*u + 1]] with u = a^900 + b at k = 10^5 is read,
     and --try-invert finds an inverse with the term b^(-k^900) a^900,

@@ -221,6 +221,25 @@ def test_try_invert_lifts_the_integer_inverse_of_a_constant_form():
     assert try_invert(f) is None
 
 
+def test_try_invert_runs_one_smith_form_on_a_constant_form(monkeypatch):
+    """A constant matrix is its own augmentation: try_invert does not
+    screen it before invert_matrix lifts it, so the plain E8 form, which
+    lifts, and [[2]], which does not, each take one Smith form."""
+    real = intlinalg.smith_normal_form
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    for M, invertible in ((intlinalg.e8_matrix(), True), ([[2]], False)):
+        f = HermitianForm(2, hermform._constants(2, M))
+        calls.clear()
+        assert (try_invert(f) is not None) == invertible
+        assert calls == [M]
+
+
 @pytest.mark.parametrize("k", [2, 3, -2])
 def test_try_invert_transformed_hyperbolics(k):
     rng = random.Random(9200 + k)

@@ -1,6 +1,6 @@
 """Property tests of the JSON readers that take outside documents.
 
-The group element reader (bsgroup._json_terms on a one-term ring
+The group element reader (GroupRingElt.from_json on a one-term ring
 element, support.read_element), GroupRingElt.from_json and
 hermform.matrix_from_json either return a value or raise SchemaError on
 any document, never another exception, and the first two give what the

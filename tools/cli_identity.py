@@ -14,8 +14,11 @@ The command set:
   without each optional [part], each with and without --pretty; the
   files the lines name are written first (f.json the hyperbolic plane
   over k = 2, d1.json and d2.json its descriptor, u.json the identity);
-- fox --k K for every K in -12..12, with and without --pretty, so the
-  printed Fox derivatives are compared at negative, zero and unit k too;
+- for every K in -12..12, so that negative, zero and unit k are
+  compared too, each with and without --pretty: fox --k K; group --k K
+  on a word with runs of A before and after b, with and without
+  --times and --invert; ring --k K --expr on such words, with and
+  without --involute;
 - on every document the cli-docs benchmark workload writes for seeds 1
   and 2: form, form --pretty, form --try-invert, realize,
   realize --pretty and realize --try-invert;
@@ -42,6 +45,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2)
 FOX_KS = range(-12, 13)
+GROUP_WORD, GROUP_TIMES = "AAbAAAbaaB", "aBAAbAA"
+RING_EXPR = "2 - 3*AAbAA + aaBAbA*bA"
 
 
 def readme_commands():
@@ -69,6 +74,16 @@ def readme_commands():
             out.append([tok for g, tok in tokens
                         if g is None or mask >> g & 1])
     return out
+
+
+def k_commands(k):
+    """fox, group and ring at k."""
+    group = ["group", "--k", str(k), "--word", GROUP_WORD]
+    times = ["--times", GROUP_TIMES]
+    ring = ["ring", "--k", str(k), "--expr", RING_EXPR]
+    return [["fox", "--k", str(k)], group, group + times,
+            group + ["--invert"], group + times + ["--invert"],
+            ring, ring + ["--involute"]]
 
 
 def write_readme_files():
@@ -128,10 +143,8 @@ def child(src, workdir):
     os.chdir(workdir)
     write_readme_files()
     commands = []
-    for argv in readme_commands():
-        commands += [argv, argv + ["--pretty"]]
-    for k in FOX_KS:
-        argv = ["fox", "--k", str(k)]
+    for argv in readme_commands() + [
+            argv for k in FOX_KS for argv in k_commands(k)]:
         commands += [argv, argv + ["--pretty"]]
     for seed in SEEDS:
         commands += docs_commands(workloads, seed)
