@@ -39,14 +39,15 @@ EXIT_USAGE = 64
 
 # Largest |k| accepted by the commands that build the Fox complex
 # (homology, bordism, each end of report --k-range).  The complex has
-# O(|k|) terms; homology --k 100000 takes about 0.6 s and 50 MB.
+# O(|k|) terms; homology --k 100000 takes about 0.25 s and 32 MB.
 MAX_CHAIN_K = 100000
 # report builds one complex per k of its range, so a row costs O(|k|)
 # and the range is bounded by the sum of |k| over it.  At the limit,
-# 99990..100000 and -100000..-99990 each took about 3 s and 46 MB.
+# 99990..100000 and -100000..-99990 each took about 1.6 s and 36 MB.
 MAX_REPORT_K_SUM = 1100000
 # fox prints the free derivatives, O(k^2) characters of words; at the
-# limit it writes 9.8 MB in about 0.7 s and 52 MB.
+# limit it writes 9.8 MB in about 0.2 s and 49 MB.  The output, not the
+# time, is what bounds k here.
 MAX_FOX_K = 3000
 # Longest --word and --times of group, and --expr of ring; both
 # commands accept |k| <= bsgroup.MAX_JSON_K = 10^5.  A word of L letters
@@ -140,19 +141,19 @@ def _cmd_fox(args):
             "complex": foxchain.build_complex(k).to_json()}
 
 
-def _homology_pair(cx, modulus):
+def _homology_pair(k, augmented, modulus):
     """The closed-form and the chain-complex homology groups in degrees
-    0-2."""
-    closed = [invariants.homology_closed_form(cx.k, d, modulus=modulus)
+    0-2; augmented is foxchain.tensor_trivial of the complex at k."""
+    closed = [invariants.homology_closed_form(k, d, modulus=modulus)
               for d in (0, 1, 2)]
-    d2, d1 = foxchain.tensor_trivial(cx, modulus)
-    return closed, intlinalg.homology_of_complex(d2, d1, modulus)
+    return closed, intlinalg.homology_of_complex(*augmented, modulus)
 
 
 def _cmd_homology(args):
     modulus = args.mod or 0
-    cx = foxchain.build_complex(_check_k(args.k, MAX_CHAIN_K, "homology"))
-    closed, chain = _homology_pair(cx, modulus)
+    k = _check_k(args.k, MAX_CHAIN_K, "homology")
+    augmented = foxchain.tensor_trivial(foxchain.build_complex(k))
+    closed, chain = _homology_pair(k, augmented, modulus)
     return {"k": args.k,
             "coefficients": "Z" if modulus == 0 else "Z/2",
             "closed_form": {"H%d" % d: g.to_json()
@@ -227,9 +228,9 @@ def _parse_range(spec):
 
 
 def _report_row(k):
-    cx = foxchain.build_complex(k)
-    closed, chain = _homology_pair(cx, 0)
-    closed2, chain2 = _homology_pair(cx, 2)
+    augmented = foxchain.tensor_trivial(foxchain.build_complex(k))
+    closed, chain = _homology_pair(k, augmented, 0)
+    closed2, chain2 = _homology_pair(k, augmented, 2)
     # the type II bordism group is 8Z + H2(B(k); Z/2), the latter from
     # this complex: what stable_bordism_group(cx, W2Type.II) would
     # compute again

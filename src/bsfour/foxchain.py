@@ -11,9 +11,12 @@ product d2 * d1 = 0, which is the fundamental Fox identity applied to
 the relator.  For k = 0 the group is Z and the circle complex
 0 -> L --(1-a)--> L -> Z -> 0 is used instead.
 
-fox_derivative gives the free derivatives as words (the fox command
-prints them); build_complex projects them to Z[B(k)] in one pass over
-the relator, so the complex costs O(|k|) group operations.
+Both derivatives come from one Leibniz pass over a word, _leibniz,
+which carries the prefix by a given product.  fox_derivative carries it
+as a free word (the fox command prints the result); build_complex
+carries it as a B(k) normal form advanced by _kernel.bs_mul, so the
+complex costs O(|k|) group operations.  Either way the keys come out in
+normal form and are stored as they are.
 """
 
 from dataclasses import dataclass
@@ -30,6 +33,25 @@ def relator_word(k):
     return "abA" + ("B" * k if k >= 0 else "b" * (-k))
 
 
+def _leibniz(word, u, step):
+    """The free derivatives (d/da, d/db) of word as term dicts, in one
+    pass: u is the empty prefix and step(u, ch) the prefix u followed
+    by the letter ch.  By the Leibniz rule d(u x v) = du + u dx + u x dv
+    with dx = 1 and d(x^-1) = -x^-1, a letter x adds +u to d/dx and a
+    letter x^-1 adds -(u x^-1)."""
+    da, db = {}, {}
+    target = {"a": da, "A": da, "b": db, "B": db}
+    for ch in word:
+        x = step(u, ch)
+        d = target[ch]
+        if ch.islower():
+            d[u] = d.get(u, 0) + 1
+        else:
+            d[x] = d.get(x, 0) - 1
+        u = x
+    return da, db
+
+
 def fox_derivative(word, gen):
     """The free derivative d/d gen, an element of Z[F(a, b)].
 
@@ -38,19 +60,13 @@ def fox_derivative(word, gen):
     """
     if gen not in ("a", "b"):
         raise ValueError("gen must be 'a' or 'b'")
-    word = bsgroup.free_reduce(word)
-    inv = gen.swapcase()
-    acc = {}
-    prefix = []
-    for ch in word:
-        if ch == gen:
-            key = "".join(prefix)
-            acc[key] = acc.get(key, 0) + 1
-        elif ch == inv:
-            key = "".join(prefix) + ch
-            acc[key] = acc.get(key, 0) - 1
-        prefix.append(ch)
-    return FreeRingElt(acc)
+    # On the reduced word x1..xn every key is a prefix, hence freely
+    # reduced: a letter x_i = x adds x1..x(i-1), a letter x_i = x^-1
+    # adds x1..xi.  Keys of one derivative differ in length, except
+    # for x_(i+1) = x right after x_i = x^-1, which reduction rules
+    # out; so each key holds exactly one +-1.
+    da, db = _leibniz(bsgroup.free_reduce(word), "", str.__add__)
+    return FreeRingElt(da if gen == "a" else db)
 
 
 @dataclass(frozen=True)
@@ -78,28 +94,20 @@ class FoxComplex:
 def _projected_derivatives(k):
     """(d r/da, d r/db) for r = relator_word(k), projected to Z[B(k)].
 
-    One pass over the relator with the prefix u carried as a B(k)
-    normal form: by the Leibniz rule d(u x v) = du + u dx + u x dv, a
-    letter x adds +u to d/dx and a letter x^-1 adds -(u x^-1).  This is
-    fox_derivative letter by letter, with each prefix evaluated once
-    instead of from scratch.  fox_derivative first reduces its word
-    freely; that step is left out here, because Fox derivatives are
-    invariant under free reduction and the relator is already reduced.
-    k must be nonzero.
+    The Leibniz pass of fox_derivative with each prefix carried as a
+    B(k) normal form, so every key comes out of bs_mul reduced and each
+    prefix is evaluated once.  The free reduction fox_derivative starts
+    with is left out: Fox derivatives are invariant under it, and the
+    relator is reduced.  k must be nonzero.
     """
     mul = _kernel.bs_mul
-    da, db = {}, {}
-    target = {"a": da, "A": da, "b": db, "B": db}
-    u = (0, 0, 0)
-    for ch in relator_word(k):
-        x = mul(u, _LETTER[ch], k)
-        d = target[ch]
-        if ch.islower():
-            d[u] = d.get(u, 0) + 1
-        else:
-            d[x] = d.get(x, 0) - 1
-        u = x
-    return GroupRingElt(k, da), GroupRingElt(k, db)
+    da, db = _leibniz(relator_word(k), (0, 0, 0),
+                      lambda u, ch: mul(u, _LETTER[ch], k))
+    # No two keys of one derivative meet, so each holds +-1 and _raw gets
+    # no zero: d/da has 1 (from a) and abA = b^k; d/db has a (from b)
+    # and, after abA, one distinct power of b per letter: b^(k-j) from
+    # the j-th B (k > 0), b^(k+j-1) from the j-th b (k < 0).
+    return GroupRingElt._raw(k, da), GroupRingElt._raw(k, db)
 
 
 def build_complex(k):
@@ -116,15 +124,10 @@ def build_complex(k):
     return FoxComplex(k, ((da, db),), ((col_a,), (col_b,)))
 
 
-def tensor_trivial(cx, modulus=0):
-    """Boundary matrices after applying the augmentation entrywise,
-    optionally reduced mod a positive modulus.  Returns (D2, D1) as
-    plain integer row lists."""
-
-    def eps(p):
-        v = p.augment()
-        return v % modulus if modulus else v
-
-    d2 = [[eps(p) for p in row] for row in cx.d2]
-    d1 = [[eps(p) for p in row] for row in cx.d1]
+def tensor_trivial(cx):
+    """Boundary matrices after applying the augmentation entrywise, as
+    plain integer row lists (D2, D1).  Homology mod p reads them as
+    they are (intlinalg.homology_of_complex)."""
+    d2 = [[p.augment() for p in row] for row in cx.d2]
+    d1 = [[p.augment() for p in row] for row in cx.d1]
     return d2, d1

@@ -6,9 +6,11 @@ The augmentation sums coefficients; it is the ring map to Z induced by
 collapsing the group.
 
 FreeRingElt holds a Fox derivative as an integer combination of free
-words, for the fox command to print; it does no arithmetic.  The
-projected derivatives that the chain complex uses are computed in
-Z[B(k)] directly (foxchain.build_complex).
+words, for the fox command to print; it does no arithmetic and stores
+the terms it is given, which foxchain's one Leibniz pass makes freely
+reduced, distinct and nonzero.  The projected derivatives that the
+chain complex uses come out of the same pass in Z[B(k)], already in
+normal form, and are built with the trusted GroupRingElt._raw.
 
 JSON terms are read by one loop, bsgroup._json_terms, which
 GroupRingElt.from_json, and through it every matrix, form and
@@ -163,7 +165,9 @@ class GroupRingElt:
     @classmethod
     def parse(cls, k, text):
         """Small human syntax: integer coefficients and words over
-        a, A, b, B joined by '*', combined with '+'/'-'."""
+        a, A, b, B joined by '*', combined with '+'/'-'.  Adjacent
+        factors multiply as if '*' stood between them: '2a', 'ab ba'
+        and '2 3' read as 2*a, abba and 6."""
         if not isinstance(text, str) or not text.strip():
             raise SchemaError("empty ring expression")
         tokens = _tokenize(text)
@@ -179,12 +183,9 @@ class GroupRingElt:
                 elif tokens[i] == "+":
                     raise SchemaError("leading '+' in ring expression")
             else:
-                if tokens[i] == "+":
-                    sign = 1
-                elif tokens[i] == "-":
+                # the term loop below stops only at '+', '-' or the end
+                if tokens[i] == "-":
                     sign = -1
-                else:
-                    raise SchemaError("expected '+' or '-' between terms")
                 i += 1
             coeff = sign
             parts = []
@@ -284,19 +285,10 @@ class FreeRingElt:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                if not c:
-                    continue
-                w = bsgroup.free_reduce(w)
-                c0 = clean.get(w, 0) + c
-                if c0:
-                    clean[w] = c0
-                elif w in clean:
-                    del clean[w]
-        self.terms = clean
+    def __init__(self, terms):
+        # stored as given: fox_derivative's keys are distinct, freely
+        # reduced and hold +-1 each (the proof is at its call)
+        self.terms = terms
 
     def sorted_terms(self):
         return [(w, self.terms[w])

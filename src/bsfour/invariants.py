@@ -158,7 +158,7 @@ def stable_bordism_group(cx, w2):
                               " only types II and III do")
     if w2 is W2Type.III and k % 2 == 0:
         raise DescriptorError("type III requires odd k")
-    d2, d1 = foxchain.tensor_trivial(cx, modulus=2)
+    d2, d1 = foxchain.tensor_trivial(cx)
     torsion = intlinalg.homology_of_complex(d2, d1, modulus=2)[2]
     return BordismDescription(k, w2, 8, torsion)
 

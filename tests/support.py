@@ -149,7 +149,7 @@ class FreeRing(FreeRingElt):
 
     @classmethod
     def from_word(cls, word):
-        return cls({word: 1})
+        return cls({bsgroup.free_reduce(word): 1})
 
     def __add__(self, other):
         if not isinstance(other, FreeRingElt):

@@ -95,7 +95,7 @@ def affine_eval(word, k):
 
 
 def chain_homology(k, modulus):
-    d2, d1 = foxchain.tensor_trivial(build_complex(k), modulus)
+    d2, d1 = foxchain.tensor_trivial(build_complex(k))
     return intlinalg.homology_of_complex(d2, d1, modulus)
 
 

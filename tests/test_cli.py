@@ -215,6 +215,31 @@ def test_classify_accepts_an_isometry_elimination_cannot_invert(capsys,
     assert doc["reasons"] == ["isometry certificate does not verify"]
 
 
+def test_classify_isometry_of_wrong_size_is_unknown(capsys, tmp_path):
+    k = 2
+    d = write(tmp_path / "d.json", ManifoldDescriptor(
+        k, hermform.hyperbolic(k, 1), W2Type.II, 0).to_json())
+    u = write(tmp_path / "u.json", hermform.matrix_to_json(
+        ((GroupRingElt.one(k),),), k))
+    doc = run_json(capsys, "classify", d, d, "--isometry", u)
+    assert doc["verdict"] == "Unknown"
+    assert doc["reasons"] == ["isometry certificate is unusable: isometry"
+                              " certificate has wrong shape"]
+
+
+def test_classify_isometry_over_another_k_exits_2(capsys, tmp_path):
+    d = write(tmp_path / "d.json", ManifoldDescriptor(
+        2, hermform.hyperbolic(2, 1), W2Type.II, 0).to_json())
+    one, zero = GroupRingElt.one(3), GroupRingElt.zero(3)
+    u = write(tmp_path / "u.json", hermform.matrix_to_json(
+        ((one, zero), (zero, one)), 3))
+    code = cli.main(["classify", d, d, "--isometry", u])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == \
+        "error: isometry matrix is over k=3, descriptors over k=2\n"
+
+
 def test_classify_inconsistent_descriptor_exits_3(capsys, tmp_path):
     k = 2
     d = ManifoldDescriptor(k, hermform.hyperbolic(k, 1), W2Type.II, 0)
@@ -321,6 +346,31 @@ def test_report_pretty_table(capsys):
                                 "oracle_check"]
     assert lines[2].startswith("0  Z")
     assert all(line == line.rstrip() for line in lines)
+
+
+def test_pretty_flattens_lists(capsys, tmp_path):
+    code, out = run(capsys, "ring", "--k", "2", "--expr", "2 - aB",
+                    "--pretty")
+    assert code == 0
+    assert out.splitlines() == [
+        "k: 2", "element.k: 2",
+        "element.terms[0].coeff: 2", "element.terms[0].elt.num: 0",
+        "element.terms[0].elt.pow: 0", "element.terms[0].elt.t: 0",
+        "element.terms[1].coeff: -1", "element.terms[1].elt.num: -2",
+        "element.terms[1].elt.pow: 0", "element.terms[1].elt.t: 1",
+        "display: 2 - b^-2*a", "augmentation: 1",
+        "identity_coefficient: 2"]
+    p = write(tmp_path / "h.json", hermform.hyperbolic(2, 1).to_json())
+    code, out = run(capsys, "realize", p, "--pretty")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["k: 2", "count: 1", "descriptors[0].k: 2"]
+    # a list of scalars is one line, even when empty; others nest
+    for line in ("descriptors[0].form.matrix[0][0].terms: ",
+                 "descriptors[0].form.matrix[0][1].terms[0].coeff: 1",
+                 "descriptors[0].form.inverse[1][0].terms[0].elt.t: 0",
+                 "descriptors[0].w2: II"):
+        assert line in lines
 
 
 def test_usage_errors_exit_64(capsys):
@@ -524,6 +574,14 @@ def test_report_reversed_range_exits_2(capsys, k_range):
     assert captured.out == ""
     assert captured.err == "error: k range A..B needs A <= B, got %s\n" % (
         k_range)
+
+
+@pytest.mark.parametrize("k_range", ["a..2", "1..b", "1.5..2"])
+def test_report_range_bounds_not_integers_exit_2(capsys, k_range):
+    code = cli.main(["report", "--k-range", k_range])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: k range bounds must be integers\n"
 
 
 @pytest.mark.parametrize("k_range, total", [

@@ -10,8 +10,9 @@ with every word evaluated on its own.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bsfour import bsgroup, foxchain
+from bsfour import _kernel, bsgroup, foxchain, intlinalg
 from bsfour.errors import ChainComplexError
 from bsfour.foxchain import build_complex, fox_derivative, relator_word
 from bsfour.groupring import GroupRingElt
@@ -19,7 +20,8 @@ from bsfour.groupring import GroupRingElt
 from support import FreeRing, fox, geometric_series, random_word
 
 W = FreeRing.from_word
-KS_NONZERO = [k for k in range(-12, 13) if k != 0]
+KS = list(range(-12, 13))
+KS_NONZERO = [k for k in KS if k != 0]
 
 
 def test_single_letter_derivatives():
@@ -42,6 +44,30 @@ def test_product_rule():
             lhs = fox_derivative(u + v, g)
             rhs = fox(u, g) + W(u) * fox(v, g)
             assert lhs == rhs
+
+
+def letterwise_derivative(word, gen):
+    """d/d gen by the Leibniz rule in the FreeRing oracle, one letter at
+    a time, every product and sum normalized in full."""
+    total, prefix = FreeRing.zero(), FreeRing.one()
+    for ch in word:
+        if ch == gen:
+            total = total + prefix
+        elif ch == gen.upper():
+            total = total - prefix * W(ch)
+        prefix = prefix * W(ch)
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="aAbB", max_size=60), st.sampled_from("ab"))
+def test_derivative_terms_are_reduced_and_nonzero(word, gen):
+    expected = letterwise_derivative(word, gen).terms
+    for w in (word, bsgroup.free_reduce(word)):
+        terms = fox_derivative(w, gen).terms
+        assert terms == expected
+        for key, c in terms.items():
+            assert key == bsgroup.free_reduce(key) and c in (1, -1)
 
 
 def test_fundamental_identity():
@@ -136,11 +162,26 @@ def test_augmented_boundaries(k):
     assert D1 == [[0], [0]]
 
 
-def test_tensor_trivial_mod2():
-    D2, _ = foxchain.tensor_trivial(build_complex(4), modulus=2)
-    assert D2 == [[0, 1]]
-    D2, _ = foxchain.tensor_trivial(build_complex(3), modulus=2)
-    assert D2 == [[0, 0]]
+@pytest.mark.parametrize("k", KS_NONZERO + [233, -233, 1001, -1000])
+def test_projected_keys_are_reduced_and_nonzero(k):
+    """Every key in normal form, and no two prefixes on one key: each
+    coefficient is +-1, so none is 0."""
+    da, db = foxchain._projected_derivatives(k)
+    assert len(da.terms) == 2 and len(db.terms) == abs(k) + 1
+    for d in (da, db):
+        for g, c in d.terms.items():
+            assert g == _kernel.bs_reduce(*g, k) and c in (1, -1)
+
+
+@pytest.mark.parametrize("k", KS)
+def test_mod2_homology_of_integer_and_reduced_boundaries(k):
+    D2, D1 = foxchain.tensor_trivial(build_complex(k))
+
+    def mod2(D):
+        return [[x % 2 for x in row] for row in D]
+
+    assert intlinalg.homology_of_complex(D2, D1, 2) == \
+        intlinalg.homology_of_complex(mod2(D2), mod2(D1), 2)
 
 
 def test_complex_json_shape():

@@ -31,6 +31,14 @@ def test_parse_matches_construction():
     assert GroupRingElt.parse(3, "3*2*ab*A") == mono(3, "abA", 6)
 
 
+def test_parse_multiplies_adjacent_factors():
+    assert GroupRingElt.parse(2, "2a") == GroupRingElt.parse(2, "2*a")
+    assert GroupRingElt.parse(2, "ab ba") == mono(2, "abba")
+    assert GroupRingElt.parse(2, "2 3") == GroupRingElt.one(2) * 6
+    assert GroupRingElt.parse(3, "1 - 2 ab 3 A") == \
+        GroupRingElt.one(3) - mono(3, "abA", 6)
+
+
 def test_parse_rejects_malformed():
     # digits are ASCII only: str.isdigit also takes these
     for text in ["2**a", "a +", "+", "c", "1 -- 2", "", "(a)",

@@ -50,7 +50,7 @@ def identity_matrix(k, n):
 
 
 def chain_homology(k, modulus):
-    d2, d1 = foxchain.tensor_trivial(foxchain.build_complex(k), modulus)
+    d2, d1 = foxchain.tensor_trivial(foxchain.build_complex(k))
     return intlinalg.homology_of_complex(d2, d1, modulus)
 
 

@@ -15,10 +15,12 @@ The command set:
   files the lines name are written first (f.json the hyperbolic plane
   over k = 2, d1.json and d2.json its descriptor, u.json the identity);
 - for every K in -12..12, so that negative, zero and unit k are
-  compared too, each with and without --pretty: fox --k K; group --k K
-  on a word with runs of A before and after b, with and without
-  --times and --invert; ring --k K --expr on such words, with and
-  without --involute;
+  compared too, each with and without --pretty: fox --k K; homology
+  --k K with and without --mod 2; bordism --k K --w2 II and --w2 III
+  (at even K the latter exits 2, and its error line is compared);
+  group --k K on a word with runs of A before and after b, with and
+  without --times and --invert; ring --k K --expr on such words, with
+  and without --involute;
 - on every document the cli-docs benchmark workload writes for seeds 1
   and 2: form, form --pretty, form --try-invert, realize,
   realize --pretty and realize --try-invert;
@@ -44,7 +46,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2)
-FOX_KS = range(-12, 13)
+KS = range(-12, 13)
 GROUP_WORD, GROUP_TIMES = "AAbAAAbaaB", "aBAAbAA"
 RING_EXPR = "2 - 3*AAbAA + aaBAbA*bA"
 
@@ -77,11 +79,14 @@ def readme_commands():
 
 
 def k_commands(k):
-    """fox, group and ring at k."""
+    """fox, homology, bordism, group and ring at k."""
+    homology = ["homology", "--k", str(k)]
+    bordism = ["bordism", "--k", str(k), "--w2"]
     group = ["group", "--k", str(k), "--word", GROUP_WORD]
     times = ["--times", GROUP_TIMES]
     ring = ["ring", "--k", str(k), "--expr", RING_EXPR]
-    return [["fox", "--k", str(k)], group, group + times,
+    return [["fox", "--k", str(k)], homology, homology + ["--mod", "2"],
+            bordism + ["II"], bordism + ["III"], group, group + times,
             group + ["--invert"], group + times + ["--invert"],
             ring, ring + ["--involute"]]
 
@@ -144,7 +149,7 @@ def child(src, workdir):
     write_readme_files()
     commands = []
     for argv in readme_commands() + [
-            argv for k in FOX_KS for argv in k_commands(k)]:
+            argv for k in KS for argv in k_commands(k)]:
         commands += [argv, argv + ["--pretty"]]
     for seed in SEEDS:
         commands += docs_commands(workloads, seed)
