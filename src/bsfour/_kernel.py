@@ -13,6 +13,8 @@ terms, with what depends on the left term alone worked out once for
 it; a call to _mul per pair took about 30 % of its time.  _mul, for
 single products, does the loop's arithmetic for one pair, and _inv
 the inverse in the same closed form; both end in _reduce.
+ring_involute inlines _inv in one loop over the terms, as _addmul
+inlines _mul.
 
 A constant operand {(0, 0, 0): c} skips the group law (1 g = g 1 = g):
 _addmul adds c times each term of the other operand under its own key,
@@ -140,7 +142,30 @@ def ring_mul(p, q, k):
 
 
 def ring_involute(p, k):
-    return {_inv(g, k): c for g, c in p.items()}
+    # _inv written out for each term, with (b^x a^t)^-1 = b^(-k^-t x) a^-t
+    # and -k^-t x = (-+n) / |k|^(pow + t), reduced in place; pow is 0
+    # for |k| <= 1.  g -> g^-1 is a bijection on reduced keys, so
+    # distinct terms go to distinct keys: each is stored by assignment,
+    # with no sum and no zero to drop.
+    kq = -k if k < 0 else k
+    out = {}
+    for (n, pw, t), c in p.items():
+        if n:
+            if not (k < 0 and t & 1):
+                n = -n
+            if kq > 1:
+                pw += t
+                if pw < 0:
+                    n *= kq ** -pw
+                    pw = 0
+                else:
+                    while pw and n % kq == 0:
+                        n //= kq
+                        pw -= 1
+            out[n, pw, -t] = c
+        else:
+            out[0, 0, -t] = c
+    return out
 
 
 # The kernel calls only the private names.  A wrapper put on a public

@@ -164,9 +164,9 @@ def _cmd_homology(args):
 
 
 def _cmd_lgroups(args):
-    return {"k": args.k,
-            "lgroups": invariants.lgroup_table(args.k).to_json(),
-            "assembly": invariants.assembly_status(args.k).to_json()}
+    table = invariants.lgroup_table(args.k)
+    return {"k": args.k, "lgroups": table.to_json(),
+            "assembly": invariants.assembly_status(args.k, table).to_json()}
 
 
 def _cmd_bordism(args):

@@ -2,6 +2,8 @@
 
 Elements of Z[B(k)] are sparse integer combinations of group elements.
 The involution extends g -> g^-1 linearly; it is an anti-automorphism.
+The involute of zero is that zero element itself, so the zero entries
+of a matrix cost nothing to involute.
 The augmentation sums coefficients; it is the ring map to Z induced by
 collapsing the group.
 
@@ -132,7 +134,10 @@ class GroupRingElt:
         return not self.terms
 
     def involute(self):
-        """Linear extension of g -> g^-1."""
+        """Linear extension of g -> g^-1.  The involute of zero is zero
+        itself, returned as is: elements are never mutated."""
+        if not self.terms:
+            return self
         return self._raw(self.k, _kernel.ring_involute(self.terms, self.k))
 
     def augment(self):

@@ -110,6 +110,23 @@ def test_lgroups_document(capsys):
                                     "torsion": [str(2 ** 61 - 1)]}
 
 
+def test_lgroups_builds_one_table(capsys, monkeypatch):
+    # the table cli prints is the one assembly_status compares
+    calls = []
+    real = invariants.lgroup_table
+
+    def counting(k):
+        calls.append(k)
+        return real(k)
+
+    monkeypatch.setattr(invariants, "lgroup_table", counting)
+    for k in (5, -4, 2 ** 61):
+        calls.clear()
+        doc = run_json(capsys, "lgroups", "--k", str(k))
+        assert calls == [k]
+        assert doc["assembly"]["degree5"]["codomain"] == doc["lgroups"]["L5"]
+
+
 def test_bordism(capsys):
     doc = run_json(capsys, "bordism", "--k", "3", "--w2", "II")
     assert doc["signature_multiple"] == 8

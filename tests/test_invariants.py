@@ -279,6 +279,35 @@ def test_realize_even_form_unknown_arf():
     assert by_type[W2Type.III].ks is None
 
 
+def test_realize_computes_the_signature_once(monkeypatch):
+    # one intlinalg.signature call per realize; each descriptor equals
+    # the one the public constructor builds from scratch
+    h3 = hermform.hyperbolic(3, 1)
+    cases = [(2, hermform.hyperbolic(2, 1)),
+             (3, h3),
+             (3, hermform.from_integer_matrix(3, intlinalg.e8_matrix())),
+             (3, HermitianForm(3, h3.matrix, h3.inverse, arf=None)),
+             (2, odd_form(2)),
+             (3, odd_form(3))]
+    calls = []
+    real = intlinalg.signature
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(intlinalg, "signature", counting)
+    for k, f in cases:
+        calls.clear()
+        out = realize(k, f)
+        assert len(calls) == 1, (k, f.rank)
+        for d in out:
+            want = ManifoldDescriptor(k, f, d.w2, d.ks)
+            assert (d.k, d.form, d.w2, d.ks, d.parity, d.signature) == (
+                want.k, want.form, want.w2, want.ks, want.parity,
+                want.signature)
+
+
 def test_realize_rejects_uncertificated_forms():
     with pytest.raises(DescriptorError):
         realize(2, hermform.from_integer_matrix(2, [[3]]))

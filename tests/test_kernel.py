@@ -3,7 +3,8 @@
 _kernel.ring_addmul(out, p, q, k) adds p * q to out in place, with the
 group law of B(k) written out inside its loop, and a constant operand
 c 1 scaling the other one without the group law; _kernel.bs_mul and
-bs_inv do the same arithmetic for one pair of elements and one inverse.
+bs_inv do the same arithmetic for one pair of elements and one inverse,
+and ring_involute writes bs_inv out inside its loop over the terms.
 The oracle maps every term to (x, t) through support.x_fraction and
 multiplies with (x1, t1) (x2, t2) = (x1 + k^t1 x2, t1 + t2) in exact
 rationals, inverting with (x, t)^-1 = (-k^-t x, -t); for k = 0 the
@@ -20,6 +21,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from bsfour import _kernel, bsgroup
+from bsfour.groupring import GroupRingElt
 
 from support import element, law_addmul, x_fraction
 
@@ -104,6 +106,57 @@ def test_mul_and_inv_match_affine_law(case):
     assert (gh[2], ginv[2]) == (g[2] + h[2], -g[2])
     for r in (gh, ginv):
         assert _kernel.bs_reduce(*r, k) == r
+
+
+def affine_involute(p, k):
+    return Counter({((-Fraction(k) ** -t * x if k else 0), -t): c
+                    for (x, t), c in affine(p, k).items()})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(KS).flatmap(
+    lambda k: st.tuples(st.just(k), ring_terms(k, 6))))
+def test_ring_involute_is_inv_term_by_term(case):
+    k, p = case
+    got = _kernel.ring_involute(p, k)
+    assert list(got.items()) == [(_kernel.bs_inv(g, k), c)
+                                 for g, c in p.items()]
+    assert affine(got, k) == affine_involute(p, k)
+    for g in got:
+        assert _kernel.bs_reduce(*g, k) == g
+
+
+def test_ring_involute_explicit_cases():
+    cases = (
+        # pow + t < 0: the numerator is multiplied by |k|^-(pow + t)
+        (2, (1, 1, -3), (-4, 0, 3)),
+        (-2, (1, 1, -3), (4, 0, 3)),
+        (-233, (1, 0, -2), (-233 ** 2, 0, 2)),
+        # |k| >= 233: the division loop, and a denominator that grows
+        (233, (466, 0, 1), (-2, 0, -1)),
+        (-233, (466 * 233, 0, 2), (-2, 0, -2)),
+        (233, (5, 2, 1), (-5, 3, -1)),
+        (-233, (5, 2, 1), (5, 3, -1)),
+        # num 0, and |k| <= 1 where pow is 0
+        (233, (0, 0, 7), (0, 0, -7)),
+        (1, (3, 0, 4), (-3, 0, -4)),
+        (-1, (3, 0, 5), (3, 0, -5)),
+    )
+    for k, g, want in cases:
+        assert _kernel.bs_inv(g, k) == want, (k, g)
+        assert _kernel.ring_involute({g: 7}, k) == {want: 7}, (k, g)
+        assert affine({want: 7}, k) == affine_involute({g: 7}, k)
+
+
+def test_involute_of_zero_is_that_zero():
+    for k in KS:
+        z = GroupRingElt.zero(k)
+        assert z.involute() is z
+        assert z.involute().involute() is z
+        assert z.terms == {} and not z
+        assert (z.involute() + GroupRingElt.one(k)) == GroupRingElt.one(k)
+        assert z.terms == {}
+    assert _kernel.ring_involute({}, 2) == {}
 
 
 def test_a_power_factor_builds_no_power_of_k():
