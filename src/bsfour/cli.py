@@ -352,7 +352,9 @@ def _flatten(value, path, lines):
         for key, inner in value.items():
             _flatten(inner, "%s.%s" % (path, key) if path else key, lines)
     elif isinstance(value, list):
-        if all(not isinstance(v, (dict, list)) for v in value):
+        if not value:
+            lines.append("%s: []" % path)
+        elif all(not isinstance(v, (dict, list)) for v in value):
             lines.append("%s: %s" % (path, ", ".join(str(v) for v in value)))
         else:
             for i, inner in enumerate(value):

@@ -382,12 +382,13 @@ def test_pretty_flattens_lists(capsys, tmp_path):
     assert code == 0
     lines = out.splitlines()
     assert lines[:3] == ["k: 2", "count: 1", "descriptors[0].k: 2"]
-    # a list of scalars is one line, even when empty; others nest
-    for line in ("descriptors[0].form.matrix[0][0].terms: ",
+    # a list of scalars is one line, an empty list reads [], others nest
+    for line in ("descriptors[0].form.matrix[0][0].terms: []",
                  "descriptors[0].form.matrix[0][1].terms[0].coeff: 1",
                  "descriptors[0].form.inverse[1][0].terms[0].elt.t: 0",
                  "descriptors[0].w2: II"):
         assert line in lines
+    assert all(line == line.rstrip() for line in lines)
 
 
 def test_usage_errors_exit_64(capsys):
