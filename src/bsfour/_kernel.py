@@ -11,10 +11,9 @@ forced to 0; for |k| = 1 the exponent x is an integer and pow is 0.
 The convolution _addmul applies the group law inline to each pair of
 terms, with what depends on the left term alone worked out once for
 it; a call to _mul per pair took about 30 % of its time.  _mul, for
-single products, does the loop's arithmetic for one pair, and _inv
-the inverse in the same closed form; both end in _reduce.
-ring_involute inlines _inv in one loop over the terms, as _addmul
-inlines _mul.
+single products, does the loop's arithmetic for one pair and ends in
+_reduce.  The inverse law has one copy, in ring_involute's loop over
+the terms; _inv is its one-term case.
 
 A constant operand {(0, 0, 0): c} skips the group law (1 g = g 1 = g):
 _addmul adds c times each term of the other operand under its own key,
@@ -50,19 +49,6 @@ def _mul(g, h, k):
     if n1:
         n2 += n1 * kq ** (d - p1)
     return _reduce(n2, d, t1 + t2, k)
-
-
-def _inv(g, k):
-    # (b^x a^t)^-1 = b^(-k^-t x) a^-t, where -k^-t x = (-+n) / |k|^(p + t)
-    n, p, t = g
-    if n == 0:
-        return (0, 0, -t)
-    kq = -k if k < 0 else k
-    n = n if k < 0 and t & 1 else -n
-    d = p + t if kq > 1 else p
-    if d < 0:
-        return (n * kq ** -d, 0, -t)
-    return _reduce(n, d, -t, k)
 
 
 def _addmul(out, p, q, k):
@@ -142,8 +128,8 @@ def ring_mul(p, q, k):
 
 
 def ring_involute(p, k):
-    # _inv written out for each term, with (b^x a^t)^-1 = b^(-k^-t x) a^-t
-    # and -k^-t x = (-+n) / |k|^(pow + t), reduced in place; pow is 0
+    # The inverse law for each term, (b^x a^t)^-1 = b^(-k^-t x) a^-t
+    # with -k^-t x = (-+n) / |k|^(pow + t), reduced in place; pow is 0
     # for |k| <= 1.  g -> g^-1 is a bijection on reduced keys, so
     # distinct terms go to distinct keys: each is stored by assignment,
     # with no sum and no zero to drop.
@@ -166,6 +152,12 @@ def ring_involute(p, k):
         else:
             out[0, 0, -t] = c
     return out
+
+
+def _inv(g, k):
+    # the one-term case of ring_involute
+    (h,) = ring_involute({g: 1}, k)
+    return h
 
 
 # The kernel calls only the private names.  A wrapper put on a public

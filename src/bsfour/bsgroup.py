@@ -10,12 +10,14 @@ each element has exactly one representation.  The degenerate parameters
 ride along: B(0) = Z (b dies), B(1) = Z^2, B(-1) is the Klein bottle
 group; all are handled by the same reduction.
 
-Words are strings over a, A, b, B with A = a^-1 and B = b^-1.
+An element is the kernel's plain tuple (num, pow, t), and the group law
+is _kernel.bs_mul and bs_inv.  This module holds what surrounds them:
+free words, which are strings over a, A, b, B with A = a^-1 and
+B = b^-1, and the JSON reading and writing of elements with its limits.
 """
 
 import sys
 from operator import itemgetter
-from typing import NamedTuple
 
 from . import _kernel
 from .errors import BsfourError, SchemaError, WordSyntaxError
@@ -31,17 +33,6 @@ MAX_JSON_K = 100000
 
 _LETTERS = frozenset("aAbB")
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
-
-
-class BSElement(NamedTuple):
-    """Reduced normal form b^(num / |k|^pow) a^t."""
-
-    num: int
-    pow: int
-    t: int
-
-    def to_json(self):
-        return _json_element(*self)
 
 
 def _json_decimal(value, owner, field):
@@ -124,14 +115,6 @@ def _json_terms(items, k):
     return {g: c for g, c in acc.items() if c}
 
 
-def multiply(g, h, k):
-    return BSElement(*_kernel.bs_mul(tuple(g), tuple(h), k))
-
-
-def invert(g, k):
-    return BSElement(*_kernel.bs_inv(tuple(g), k))
-
-
 def check_word(word):
     if not isinstance(word, str):
         raise WordSyntaxError("word must be a string")
@@ -143,8 +126,9 @@ def check_word(word):
 
 
 def eval_word(word, k):
-    """Image of a free word under F(a, b) -> B(k)."""
-    return BSElement(*_kernel.eval_word(check_word(word), k))
+    """Image of a free word under F(a, b) -> B(k), as the kernel's
+    reduced tuple (num, pow, t)."""
+    return _kernel.eval_word(check_word(word), k)
 
 
 def free_reduce(word):

@@ -21,7 +21,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import bsgroup, foxchain, hermform, intlinalg, invariants
+from . import _kernel, bsgroup, foxchain, hermform, intlinalg, invariants
 from .errors import (
     BsfourError,
     GroupMismatchError,
@@ -107,10 +107,10 @@ def _cmd_group(args):
     g = bsgroup.eval_word(args.word, k)
     if args.times is not None:
         bsgroup.check_word(args.times)
-        g = bsgroup.multiply(g, bsgroup.eval_word(args.times, k), k)
+        g = _kernel.bs_mul(g, bsgroup.eval_word(args.times, k), k)
     if args.invert:
-        g = bsgroup.invert(g, k)
-    return {"k": k, "element": g.to_json(),
+        g = _kernel.bs_inv(g, k)
+    return {"k": k, "element": bsgroup._json_element(*g),
             "display": str(GroupRingElt.monomial(k, g))}
 
 
@@ -177,7 +177,7 @@ def _cmd_bordism(args):
 def _form_summary(f):
     return {"k": f.k, "rank": f.rank,
             "parity": hermform.parity(f).value,
-            "signature": intlinalg.signature(hermform.augment_form(f)),
+            "signature": f.signature,
             "certificated": f.inverse is not None,
             "arf": f.arf.to_json() if f.arf is not None else None}
 

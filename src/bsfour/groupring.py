@@ -68,7 +68,7 @@ class GroupRingElt:
 
     @classmethod
     def monomial(cls, k, g, coeff=1):
-        return cls(k, {tuple(g): coeff})
+        return cls(k, {g: coeff})
 
     @classmethod
     def from_word(cls, k, word, coeff=1):

@@ -29,7 +29,8 @@ identity coefficients of the diagonal; cross terms contribute
 lambda + conjugate(lambda), which has even identity coefficient, so the
 diagonal rule agrees with evaluation parity.  The augmented form is the
 integer Gram matrix obtained by applying the augmentation entrywise;
-its signature is the signature invariant of the form.
+its signature is the signature invariant of the form, which the
+property HermitianForm.signature computes once and keeps on the form.
 """
 
 from dataclasses import dataclass
@@ -176,8 +177,9 @@ class HermitianForm:
     """Hermitian matrix over Z[B(k)] with an optional verified inverse
     and optional Arf provenance.  Read-only once constructed."""
 
-    # _check: verify_inverse's (F, T), with matrix C = 1 iff F C = T
-    __slots__ = ("k", "matrix", "inverse", "arf", "_check")
+    # _check: verify_inverse's (F, T), with matrix C = 1 iff F C = T;
+    # _signature: the signature property's value, None until first read
+    __slots__ = ("k", "matrix", "inverse", "arf", "_check", "_signature")
 
     def __init__(self, k, matrix, inverse=None, arf=None):
         matrix = _freeze(matrix)
@@ -195,7 +197,7 @@ class HermitianForm:
             raise SchemaError("arf must be an ArfTag")
         for name, value in (("k", k), ("matrix", matrix),
                             ("inverse", inverse), ("arf", arf),
-                            ("_check", (matrix, 1))):
+                            ("_check", (matrix, 1)), ("_signature", None)):
             object.__setattr__(self, name, value)
 
     @staticmethod
@@ -223,6 +225,15 @@ class HermitianForm:
     @property
     def rank(self):
         return len(self.matrix)
+
+    @property
+    def signature(self):
+        """The signature of the augmented form, computed on first use
+        and kept: the form is read-only."""
+        if self._signature is None:
+            object.__setattr__(self, "_signature",
+                               intlinalg.signature(augment_form(self)))
+        return self._signature
 
     def to_json(self):
         doc = {"k": self.k,

@@ -14,7 +14,6 @@ are pinned by the k = 0 and k = 1 groups (Z and Z^2), whose invariants
 are classical.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -116,11 +115,9 @@ class AssemblyStatus:
                 "consistent": self.consistent}
 
 
-def assembly_status(k, table=None):
-    """Domains H0 + H2(;Z/2) against L4 and H1 against L5.  table, when
-    given, is lgroup_table(k), which is otherwise built here."""
-    if table is None:
-        table = lgroup_table(k)
+def assembly_status(k, table):
+    """Domains H0 + H2(;Z/2) against L4 and H1 against L5, for table
+    = lgroup_table(k)."""
     dom4 = homology_closed_form(k, 0).direct_sum(
         homology_closed_form(k, 2, modulus=2))
     dom5 = homology_closed_form(k, 1)
@@ -188,12 +185,6 @@ def ks_constraint(w2, sign, arf=None):
     return (sign // 8 + arf) % 2
 
 
-# realize's private path into ManifoldDescriptor, passed in place of
-# ks: ks with the parity and augmented signature that realize computed
-# once for the form, on which the constructor runs its checks
-_Realized = namedtuple("_Realized", "ks parity signature")
-
-
 class ManifoldDescriptor:
     """Invariant tuple of a closed oriented 4-manifold with fundamental
     group B(k): certificated intersection form, w2-type, and KS.
@@ -215,10 +206,7 @@ class ManifoldDescriptor:
         if form.inverse is None:
             raise DescriptorError(
                 "descriptor forms must carry a verified inverse")
-        if type(ks) is _Realized:
-            ks, par, sign = ks
-        else:
-            par, sign = hermform.parity(form), None
+        par = hermform.parity(form)
         if w2 is W2Type.I and par is not Parity.ODD:
             raise InconsistentDescriptorError("type I requires an odd form")
         if w2 is not W2Type.I and par is not Parity.EVEN:
@@ -226,8 +214,7 @@ class ManifoldDescriptor:
                 "types II and III require an even form")
         if w2 is W2Type.III and k % 2 == 0:
             raise InconsistentDescriptorError("type III requires odd k")
-        if sign is None:
-            sign = intlinalg.signature(hermform.augment_form(form))
+        sign = form.signature
         arf = form.arf.value if form.arf is not None else None
         forced = ks_constraint(w2, sign, arf)
         if ks is None:
@@ -337,10 +324,10 @@ def classify(d1, d2, isometry=None):
 def realize(k, form):
     """Descriptors of the manifolds carrying a given certificated
     form: two for odd forms (KS free), one for even forms when k is
-    even (type II), two when k is odd (types II and III).  The parity
-    and the augmented signature are computed once, here, and handed to
-    every descriptor, which runs the constructor's realizability checks
-    on them."""
+    even (type II), two when k is odd (types II and III).  Every
+    descriptor runs the constructor's realizability checks; the
+    augmented signature is computed once, by the first read of
+    form.signature, and kept on the form."""
     if not isinstance(form, HermitianForm):
         raise SchemaError("realize takes a HermitianForm")
     if form.k != k:
@@ -349,18 +336,14 @@ def realize(k, form):
             % (k, form.k))
     if form.inverse is None:
         raise DescriptorError("realize requires a verified inverse")
-    par = hermform.parity(form)
-    sign = intlinalg.signature(hermform.augment_form(form))
-    if par is Parity.ODD:
-        return [ManifoldDescriptor(k, form, W2Type.I, _Realized(ks, par, sign))
-                for ks in (0, 1)]
+    if hermform.parity(form) is Parity.ODD:
+        return [ManifoldDescriptor(k, form, W2Type.I, ks) for ks in (0, 1)]
     arf = form.arf.value if form.arf is not None else None
     # An even form with an inverse augments to an even unimodular
-    # lattice, so 8 divides sign; were it not, ks_constraint would raise
-    # InconsistentDescriptorError here.
+    # lattice, so 8 divides its signature; were it not, ks_constraint
+    # would raise InconsistentDescriptorError here.
     types = (W2Type.II, W2Type.III) if k % 2 else (W2Type.II,)
     return [ManifoldDescriptor(
-                k, form, w2,
-                _Realized(ks_constraint(w2, sign, arf), par, sign))
+                k, form, w2, ks_constraint(w2, form.signature, arf))
             for w2 in types]
 

@@ -8,7 +8,7 @@ the oracle of the Fox derivatives, which bsfour keeps only to print.
 from fractions import Fraction
 
 from bsfour import _kernel, bsgroup
-from bsfour.bsgroup import MAX_JSON_EXPONENT, MAX_JSON_K, BSElement
+from bsfour.bsgroup import MAX_JSON_EXPONENT, MAX_JSON_K
 from bsfour.errors import SchemaError
 from bsfour.foxchain import fox_derivative
 from bsfour.groupring import FreeRingElt, GroupRingElt
@@ -18,7 +18,7 @@ def element(num, pow, t, k):
     """Canonical element with x = num / |k|^pow, reducing as needed."""
     if pow < 0:
         raise ValueError("pow must be non-negative")
-    return BSElement(*_kernel.bs_reduce(num, pow, t, k))
+    return _kernel.bs_reduce(num, pow, t, k)
 
 
 def random_word(rng, maxlen=40):
@@ -229,13 +229,13 @@ def sesquilinear(f, x, y):
 
 
 def law_addmul(out, p, q, k):
-    """out += p q in place, pair by pair through bsgroup.multiply: the
+    """out += p q in place, pair by pair through _kernel.bs_mul: the
     group-law loop of the kernel without its constant path, adding into
     out in the same order (a key new to out goes last, one whose sum
     is 0 is deleted)."""
     for g1, c1 in p.items():
         for g2, c2 in q.items():
-            g = tuple(bsgroup.multiply(g1, g2, k))
+            g = _kernel.bs_mul(g1, g2, k)
             c = out.get(g, 0) + c1 * c2
             if c:
                 out[g] = c
@@ -272,7 +272,7 @@ def read_element(doc, k):
     1: |k| is checked first, then the element."""
     (g,) = GroupRingElt.from_json(
         {"k": k, "terms": [{"coeff": 1, "elt": doc}]}).terms
-    return BSElement(*g)
+    return g
 
 
 # The JSON readers of ring and group elements as they were before one

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from bsfour import bsgroup, cli, foxchain, hermform, intlinalg, invariants
+from bsfour._kernel import bs_inv
 from bsfour.groupring import GroupRingElt
 from bsfour.hermform import HermitianForm
 from bsfour.invariants import ManifoldDescriptor, W2Type
@@ -108,6 +109,27 @@ def test_lgroups_document(capsys):
     assert time.perf_counter() - start < 2.0
     assert doc["lgroups"]["L5"] == {"free_rank": 1,
                                     "torsion": [str(2 ** 61 - 1)]}
+
+
+def test_form_and_realize_compute_the_signature_once(capsys, monkeypatch,
+                                                     tmp_path):
+    calls = []
+    real = intlinalg.signature
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(intlinalg, "signature", counting)
+    h = hermform.hyperbolic(3, 1)
+    plain = write(tmp_path / "plain.json", HermitianForm(3, h.matrix).to_json())
+    cert = write(tmp_path / "cert.json", h.to_json())
+    for argv in (("form", plain), ("form", plain, "--try-invert"),
+                 ("form", cert), ("realize", cert),
+                 ("realize", plain, "--try-invert")):
+        calls.clear()
+        run_json(capsys, *argv)
+        assert len(calls) == 1, argv
 
 
 def test_lgroups_builds_one_table(capsys, monkeypatch):
@@ -801,8 +823,7 @@ def element_limit_form(t, k=3, pow=None):
     test."""
     if pow is None:
         g = element(1, 0, t, k)
-        x = GroupRingElt(k, {tuple(g): 1,
-                             tuple(bsgroup.invert(g, k)): 1}).to_json()
+        x = GroupRingElt(k, {g: 1, bs_inv(g, k): 1}).to_json()
     else:
         x = {"k": k, "terms": [{"coeff": "1", "elt": {
             "num": "1", "pow": pow, "t": str(t)}}]}

@@ -132,13 +132,13 @@ def test_lgroup_table_json():
 
 def test_assembly_status_consistent_for_all_k():
     for k in ALL_K:
-        report = assembly_status(k)
+        report = assembly_status(k, lgroup_table(k))
         assert report.consistent, k
         assert report.degree4_domain == report.degree4_codomain
         assert report.degree5_domain == report.degree5_codomain
-    assert assembly_status(3).degree4_domain == AG(1, (2,))
-    assert assembly_status(2).degree4_domain == AG.free(1)
-    assert assembly_status(5).degree5_domain == AG(1, (4,))
+    assert assembly_status(3, lgroup_table(3)).degree4_domain == AG(1, (2,))
+    assert assembly_status(2, lgroup_table(2)).degree4_domain == AG.free(1)
+    assert assembly_status(5, lgroup_table(5)).degree5_domain == AG(1, (4,))
 
 
 def test_stable_bordism_group():
@@ -280,8 +280,10 @@ def test_realize_even_form_unknown_arf():
 
 
 def test_realize_computes_the_signature_once(monkeypatch):
-    # one intlinalg.signature call per realize; each descriptor equals
-    # the one the public constructor builds from scratch
+    # one intlinalg.signature call per realize and none for a second
+    # realize of the same form; each descriptor equals the one the
+    # constructor builds on a fresh copy of the form, which holds no
+    # signature yet
     h3 = hermform.hyperbolic(3, 1)
     cases = [(2, hermform.hyperbolic(2, 1)),
              (3, h3),
@@ -301,11 +303,17 @@ def test_realize_computes_the_signature_once(monkeypatch):
         calls.clear()
         out = realize(k, f)
         assert len(calls) == 1, (k, f.rank)
-        for d in out:
-            want = ManifoldDescriptor(k, f, d.w2, d.ks)
-            assert (d.k, d.form, d.w2, d.ks, d.parity, d.signature) == (
-                want.k, want.form, want.w2, want.ks, want.parity,
-                want.signature)
+        calls.clear()
+        again = realize(k, f)
+        assert calls == [], (k, f.rank)
+        for d, d2 in zip(out, again, strict=True):
+            fresh = HermitianForm(k, f.matrix, f.inverse, f.arf)
+            want = ManifoldDescriptor(k, fresh, d.w2, d.ks)
+            assert d.form is f and d2.form is f
+            assert (d.k, d.w2, d.ks, d.parity, d.signature) == (
+                want.k, want.w2, want.ks, want.parity, want.signature)
+            assert (d2.w2, d2.ks, d2.signature) == (d.w2, d.ks, d.signature)
+        assert len(calls) == len(out)
 
 
 def test_realize_rejects_uncertificated_forms():
