@@ -20,7 +20,7 @@ The command set:
   (at even K the latter exits 2, and its error line is compared);
   group --k K on a word with runs of A before and after b, with and
   without --times and --invert; ring --k K --expr on such words, with
-  and without --involute;
+  and without --involute; lgroups --k K;
 - on every document the cli-docs benchmark workload writes for seeds 1
   and 2: form, form --pretty, form --try-invert, realize,
   realize --pretty and realize --try-invert;
@@ -79,7 +79,7 @@ def readme_commands():
 
 
 def k_commands(k):
-    """fox, homology, bordism, group and ring at k."""
+    """fox, homology, bordism, group, ring and lgroups at k."""
     homology = ["homology", "--k", str(k)]
     bordism = ["bordism", "--k", str(k), "--w2"]
     group = ["group", "--k", str(k), "--word", GROUP_WORD]
@@ -88,7 +88,7 @@ def k_commands(k):
     return [["fox", "--k", str(k)], homology, homology + ["--mod", "2"],
             bordism + ["II"], bordism + ["III"], group, group + times,
             group + ["--invert"], group + times + ["--invert"],
-            ring, ring + ["--involute"]]
+            ring, ring + ["--involute"], ["lgroups", "--k", str(k)]]
 
 
 def write_readme_files():
