@@ -164,6 +164,8 @@ def _cmd_homology(args):
 
 
 def _cmd_lgroups(args):
+    # L5 holds Z/(k - 1), whose order is written as a decimal string
+    bsgroup._json_decimal(args.k - 1, "the group L5", "torsion coefficient")
     table = invariants.lgroup_table(args.k)
     return {"k": args.k, "lgroups": table.to_json(),
             "assembly": invariants.assembly_status(args.k, table).to_json()}

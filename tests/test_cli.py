@@ -918,6 +918,23 @@ def test_result_coefficient_beyond_digit_limit_exits_2(capsys, tmp_path):
                     " accept")
 
 
+def test_lgroups_beyond_digit_limit_exits_2(capsys):
+    """At k = -(10^4300 - 1), L5 holds Z/(k - 1) of order 10^4300, with
+    4301 digits: one more than str() writes and the readers accept.
+    The error names the field and the limit, not Python's remedy; one
+    digit less, at either sign, is written."""
+    code = cli.main(["lgroups", "--k=-" + "9" * 4300])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == ("error: the group L5 of the result has a torsion"
+                    " coefficient of more than 4300 digits, the most the"
+                    " JSON readers accept")
+    for k in (int("9" * 4300), -int("9" * 4299)):
+        doc = run_json(capsys, "lgroups", "--k=%d" % k)
+        assert doc["lgroups"]["L5"]["torsion"] == [str(abs(k - 1))]
+
+
 @pytest.mark.parametrize("argv, code", [
     (["form"], 2),
     (["form", "--try-invert"], 0),
