@@ -14,6 +14,23 @@ An element is the kernel's plain tuple (num, pow, t), and the group law
 is _kernel.bs_mul and bs_inv.  This module holds what surrounds them:
 free words, which are strings over a, A, b, B with A = a^-1 and
 B = b^-1, and the JSON reading and writing of elements with its limits.
+
+The terms of every ring-element, matrix, form and descriptor document
+are read by one loop, _json_terms, with a memo that belongs to one
+document read: HermitianForm.from_json and matrix_from_json open it for
+all the entries of a document, GroupRingElt.from_json for a ring
+element read on its own, and it is dropped with the read, never kept
+across reads.  It maps a coeff of type str to its int, and a
+(num, pow, t, k) of types exactly str, int, str and int to the reduced
+element.  Only values of those types are looked up or stored, so a
+True, a 1.0 or an int num never meets an entry made for another type,
+an unhashable value is never hashed, and k in the key keeps a cell over
+another k apart.  A miss, or a value of any other type, runs the checks
+in the order docs/schemas/element.md gives; a hit skips only checks
+that the same value passed before over the same k, so every error is
+the one a read without the memo raises.  Elements are written by
+_json_element, and whole ring elements by GroupRingElt.to_json or,
+on the command line, straight from their sorted terms by cli._dumps.
 """
 
 import sys
@@ -81,16 +98,24 @@ def _json_k(doc, missing):
     return k
 
 
-def _json_terms(items, k):
+def _json_terms(items, k, memo):
     """Reduced (num, pow, t) -> nonzero coefficient, in order of first
     appearance, checked in the order docs/schemas/element.md gives; k
-    was checked by _json_k."""
+    was checked by _json_k.  memo belongs to one document read (see
+    the module docstring) and is filled here."""
     acc = {}
     for item in items:
         if (not isinstance(item, dict) or len(item) != 2
                 or "coeff" not in item or "elt" not in item):
             raise SchemaError("each term needs exactly 'coeff' and 'elt'")
-        c = _json_int(item["coeff"], "coeff")
+        c = item["coeff"]
+        if type(c) is str:
+            c0 = memo.get(c)
+            if c0 is None:
+                c0 = memo[c] = _json_int(c, "coeff")
+            c = c0
+        else:
+            c = _json_int(c, "coeff")
         doc = item["elt"]
         if not isinstance(doc, dict):
             raise SchemaError("group element must be a JSON object")
@@ -100,19 +125,29 @@ def _json_terms(items, k):
         if len(doc) != 3:
             raise SchemaError("group element has an unknown field %r" % next(
                 f for f in doc if f not in ("num", "pow", "t")))
-        num = _json_int(doc["num"], "num")
-        t = _json_int(doc["t"], "t")
-        if t > MAX_JSON_EXPONENT or t < -MAX_JSON_EXPONENT:
-            raise SchemaError("field 't' must have |t| <= %d"
-                              % MAX_JSON_EXPONENT)
-        pw = doc["pow"]
-        if not isinstance(pw, int) or isinstance(pw, bool) or pw < 0:
-            raise SchemaError("pow must be a non-negative integer")
-        if pw > MAX_JSON_EXPONENT:
-            raise SchemaError("pow must be at most %d" % MAX_JSON_EXPONENT)
-        g = _kernel.bs_reduce(num, pw, t, k)
+        num, pw, t = doc["num"], doc["pow"], doc["t"]
+        if type(num) is str and type(pw) is int and type(t) is str:
+            key = (num, pw, t, k)
+            g = memo.get(key)
+            if g is None:
+                g = memo[key] = _json_group_element(num, pw, t, k)
+        else:
+            g = _json_group_element(num, pw, t, k)
         acc[g] = acc.get(g, 0) + c
     return {g: c for g, c in acc.items() if c}
+
+
+def _json_group_element(num, pw, t, k):
+    num = _json_int(num, "num")
+    t = _json_int(t, "t")
+    if t > MAX_JSON_EXPONENT or t < -MAX_JSON_EXPONENT:
+        raise SchemaError("field 't' must have |t| <= %d"
+                          % MAX_JSON_EXPONENT)
+    if not isinstance(pw, int) or isinstance(pw, bool) or pw < 0:
+        raise SchemaError("pow must be a non-negative integer")
+    if pw > MAX_JSON_EXPONENT:
+        raise SchemaError("pow must be at most %d" % MAX_JSON_EXPONENT)
+    return _kernel.bs_reduce(num, pw, t, k)
 
 
 def check_word(word):

@@ -10,7 +10,12 @@ that can grow without bound is a decimal string.  The JSON is written
 with two-space indentation, one scalar per line, keys in insertion
 order and non-ASCII characters escaped as \\uXXXX: byte for byte what
 the json module writes with indent=2, here written by _dumps in one
-pass.
+pass.  The form documents of form and realize carry the ring elements
+themselves (HermitianForm.to_json with entry _itself), and _dumps
+writes each one from its sorted terms, through a %-template per
+indentation, as the text of its to_json(); --pretty flattens that
+to_json().  A number too long to write makes the command exit 2 with
+to_json's one-line error.
 
 main(argv) may be called repeatedly in one process, as the benchmark
 and the tests do; every call shares the one parser built at import.
@@ -176,9 +181,15 @@ def _cmd_bordism(args):
     return invariants.stable_bordism_group(cx, W2Type(args.w2)).to_json()
 
 
+def _itself(p):
+    # the entry writer of the form documents the commands build: the
+    # ring element itself, which _encode writes from its terms
+    return p
+
+
 def _form_summary(f):
     return {"k": f.k, "rank": f.rank,
-            "parity": hermform.parity(f).value,
+            "parity": f.parity.value,
             "signature": f.signature,
             "certificated": f.inverse is not None,
             "arf": f.arf.to_json() if f.arf is not None else None}
@@ -193,7 +204,7 @@ def _read_form(path, try_invert):
 
 def _cmd_form(args):
     f = _read_form(args.file, args.try_invert)
-    return {"summary": _form_summary(f), "form": f.to_json()}
+    return {"summary": _form_summary(f), "form": f.to_json(_itself)}
 
 
 def _cmd_classify(args):
@@ -213,7 +224,7 @@ def _cmd_realize(args):
     f = _read_form(args.file, args.try_invert)
     out = invariants.realize(f.k, f)
     return {"k": f.k, "count": len(out),
-            "descriptors": [d.to_json() for d in out]}
+            "descriptors": [d.to_json(_itself) for d in out]}
 
 
 def _parse_range(spec):
@@ -278,11 +289,49 @@ def _report_table(doc):
     return "\n".join(line.rstrip() for line in lines)
 
 
+# Per indentation of a ring element's own line: the text of the element
+# up to its first term, the text of one term, the text between terms and
+# the text after the last, each a %-template; filled on first use.
+_RING_TEMPLATES = {}
+
+
+def _ring_templates(indent):
+    i1, i2 = indent + "  ", indent + "    "
+    i3, i4 = i2 + "  ", i2 + "    "
+    return ("{" + i1 + '"k": %d,' + i1 + '"terms": [' + i2,
+            "{" + i3 + '"coeff": "%d",' + i3 + '"elt": {' + i4 + '"num": "%d",'
+            + i4 + '"pow": %d,' + i4 + '"t": "%d"' + i3 + "}" + i2 + "}",
+            "," + i2,
+            i1 + "]" + indent + "}")
+
+
+def _encode_ring(p, indent, append):
+    """Pass to append the JSON text of p.to_json() at indent, written
+    straight from p's sorted terms."""
+    terms = p.terms
+    if not terms:
+        append("{" + indent + '  "k": %d,' % p.k + indent + '  "terms": []'
+               + indent + "}")
+        return
+    templates = _RING_TEMPLATES.get(indent)
+    if templates is None:
+        templates = _RING_TEMPLATES[indent] = _ring_templates(indent)
+    head, term, sep, tail = templates
+    try:
+        text = sep.join([term % (terms[g], g[0], g[1], g[2])
+                         for g in sorted(terms, key=bsgroup.sort_key)])
+    except ValueError:  # a number of more than 4300 digits
+        _encode(p.to_json(), indent, append)  # raises the one-line error
+        return
+    append(head % p.k + text + tail)
+
+
 def _encode(value, indent, append):
     """Pass to append, piece by piece, the JSON text of value with
     two-space indentation; indent is the line break and indentation
     that value's own line starts with.  Plain str and int items are
-    written in the loops; every other item goes through a call."""
+    written in the loops, and ring elements by _encode_ring; every
+    other item goes through a call."""
     if isinstance(value, dict):
         if not value:
             append("{}")
@@ -297,6 +346,8 @@ def _encode(value, indent, append):
                 append(_quote(item))
             elif cls is int:
                 append(int.__repr__(item))
+            elif cls is GroupRingElt:
+                _encode_ring(item, inner, append)
             else:
                 _encode(item, inner, append)
         append(indent + "}")
@@ -314,11 +365,15 @@ def _encode(value, indent, append):
                 append(_quote(item))
             elif cls is int:
                 append(int.__repr__(item))
+            elif cls is GroupRingElt:
+                _encode_ring(item, inner, append)
             else:
                 _encode(item, inner, append)
         append(indent + "]")
     elif isinstance(value, str):
         append(_quote(value))
+    elif isinstance(value, GroupRingElt):
+        _encode_ring(value, indent, append)
     elif value is None:
         append("null")
     elif value is True:
@@ -346,6 +401,8 @@ def _is_group_doc(value):
 
 
 def _flatten(value, path, lines):
+    if isinstance(value, GroupRingElt):
+        value = value.to_json()
     if _is_group_doc(value):
         group = intlinalg.AbelianGroup(
             value["free_rank"], tuple(int(t) for t in value["torsion"]))
@@ -356,7 +413,8 @@ def _flatten(value, path, lines):
     elif isinstance(value, list):
         if not value:
             lines.append("%s: []" % path)
-        elif all(not isinstance(v, (dict, list)) for v in value):
+        elif all(not isinstance(v, (dict, list, GroupRingElt))
+                 for v in value):
             lines.append("%s: %s" % (path, ", ".join(str(v) for v in value)))
         else:
             for i, inner in enumerate(value):
@@ -468,16 +526,17 @@ def main(argv=None):
         return EXIT_OK if exc.code in (0, None) else exc.code
     try:
         doc = args.func(args)
+        # the ring elements of a document are written here, and a number
+        # too long to write is an error of the command
+        text = (_render_pretty(args.command, doc) if args.pretty
+                else _dumps(doc))
     except InconsistentDescriptorError as exc:
         print("inconsistent: %s" % exc, file=sys.stderr)
         return EXIT_INCONSISTENT
     except (BsfourError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    if args.pretty:
-        print(_render_pretty(args.command, doc))
-    else:
-        print(_dumps(doc))
+    print(text)
     return EXIT_OK
 
 

@@ -16,9 +16,11 @@ normal form, and are built with the trusted GroupRingElt._raw.
 
 JSON terms are read by one loop, bsgroup._json_terms, which
 GroupRingElt.from_json, and through it every matrix, form and
-descriptor reader, uses; each document's k is bounded once, by
+descriptor reader, uses, with a term memo for the document the element
+belongs to (see bsgroup); each document's k is bounded once, by
 bsgroup._json_k.  to_json writes the terms from the sorted keys
-directly.
+directly, as plain dicts; the command line writes the same text from
+the same sorted keys without building them (cli._encode_ring).
 """
 
 from . import _kernel, bsgroup
@@ -155,7 +157,10 @@ class GroupRingElt:
                           for g in sorted(terms, key=bsgroup.sort_key)]}
 
     @classmethod
-    def from_json(cls, doc):
+    def from_json(cls, doc, memo=None):
+        """The ring element of doc.  memo, when given, is the term memo
+        of the document doc belongs to (see bsgroup); otherwise doc is
+        a document of its own."""
         if not isinstance(doc, dict):
             raise SchemaError("ring element must be a JSON object")
         k = _json_k(doc, "ring element needs an integer field 'k'")
@@ -165,7 +170,8 @@ class GroupRingElt:
         if len(doc) != 2:
             raise SchemaError("ring element has an unknown field %r" % next(
                 f for f in doc if f not in ("k", "terms")))
-        return cls._raw(k, _json_terms(terms, k))
+        return cls._raw(k, _json_terms(terms, k, {} if memo is None
+                                       else memo))
 
     @classmethod
     def parse(cls, k, text):

@@ -29,8 +29,14 @@ identity coefficients of the diagonal; cross terms contribute
 lambda + conjugate(lambda), which has even identity coefficient, so the
 diagonal rule agrees with evaluation parity.  The augmented form is the
 integer Gram matrix obtained by applying the augmentation entrywise;
-its signature is the signature invariant of the form, which the
-property HermitianForm.signature computes once and keeps on the form.
+its signature is the signature invariant of the form.  The properties
+HermitianForm.parity and HermitianForm.signature compute the two once
+and keep them on the form.
+
+A form document is read with one term memo for all its entries (see
+bsgroup); to_json writes each entry with GroupRingElt.to_json, or with
+the function given as entry, as the command line does to write the
+elements themselves.
 """
 
 from dataclasses import dataclass
@@ -178,8 +184,10 @@ class HermitianForm:
     and optional Arf provenance.  Read-only once constructed."""
 
     # _check: verify_inverse's (F, T), with matrix C = 1 iff F C = T;
-    # _signature: the signature property's value, None until first read
-    __slots__ = ("k", "matrix", "inverse", "arf", "_check", "_signature")
+    # _parity, _signature: the values of the properties of those names,
+    # None until first read
+    __slots__ = ("k", "matrix", "inverse", "arf", "_check", "_parity",
+                 "_signature")
 
     def __init__(self, k, matrix, inverse=None, arf=None):
         matrix = _freeze(matrix)
@@ -197,7 +205,8 @@ class HermitianForm:
             raise SchemaError("arf must be an ArfTag")
         for name, value in (("k", k), ("matrix", matrix),
                             ("inverse", inverse), ("arf", arf),
-                            ("_check", (matrix, 1)), ("_signature", None)):
+                            ("_check", (matrix, 1)), ("_parity", None),
+                            ("_signature", None)):
             object.__setattr__(self, name, value)
 
     @staticmethod
@@ -227,6 +236,14 @@ class HermitianForm:
         return len(self.matrix)
 
     @property
+    def parity(self):
+        """parity(self), computed on first use and kept: the form is
+        read-only."""
+        if self._parity is None:
+            object.__setattr__(self, "_parity", parity(self))
+        return self._parity
+
+    @property
     def signature(self):
         """The signature of the augmented form, computed on first use
         and kept: the form is read-only."""
@@ -235,11 +252,12 @@ class HermitianForm:
                                intlinalg.signature(augment_form(self)))
         return self._signature
 
-    def to_json(self):
+    def to_json(self, entry=GroupRingElt.to_json):
+        """The form document, each matrix entry written by entry."""
         doc = {"k": self.k,
-               "matrix": [[p.to_json() for p in row] for row in self.matrix]}
+               "matrix": [[entry(p) for p in row] for row in self.matrix]}
         if self.inverse is not None:
-            doc["inverse"] = [[p.to_json() for p in row]
+            doc["inverse"] = [[entry(p) for p in row]
                               for row in self.inverse]
         if self.arf is not None:
             doc["arf"] = self.arf.to_json()
@@ -250,10 +268,11 @@ class HermitianForm:
         if not isinstance(doc, dict):
             raise SchemaError("form must be a JSON object")
         k = _json_k(doc, "form needs an integer field 'k'")
-        matrix = _json_matrix(doc.get("matrix"), k, "matrix")
+        memo = {}  # one term memo for the document (see bsgroup)
+        matrix = _json_matrix(doc.get("matrix"), k, "matrix", memo)
         inverse = None
         if "inverse" in doc:
-            inverse = _json_matrix(doc["inverse"], k, "inverse")
+            inverse = _json_matrix(doc["inverse"], k, "inverse", memo)
         arf = ArfTag.from_json(doc["arf"]) if "arf" in doc else None
         # after the fields: a document of another kind hears what it lacks
         for field in doc:
@@ -262,7 +281,7 @@ class HermitianForm:
         return HermitianForm(k, matrix, inverse, arf)
 
 
-def _json_matrix(rows, k, what):
+def _json_matrix(rows, k, what, memo):
     if not isinstance(rows, list) or any(not isinstance(r, list)
                                          for r in rows):
         raise SchemaError("%s must be a list of rows" % what)
@@ -270,7 +289,7 @@ def _json_matrix(rows, k, what):
     for row in rows:
         entries = []
         for cell in row:
-            p = GroupRingElt.from_json(cell)
+            p = GroupRingElt.from_json(cell, memo)
             if p.k != k:
                 raise SchemaError("%s entry has k=%d, form has k=%d"
                                   % (what, p.k, k))
@@ -284,7 +303,7 @@ def matrix_from_json(doc):
     if not isinstance(doc, dict) or set(doc) != {"k", "matrix"}:
         raise SchemaError("matrix document needs exactly 'k' and 'matrix'")
     k = _json_k(doc, "matrix document needs an integer 'k'")
-    rows = _json_matrix(doc["matrix"], k, "matrix")
+    rows = _json_matrix(doc["matrix"], k, "matrix", {})
     if any(len(row) != len(rows[0]) for row in rows):
         raise SchemaError("matrix rows must all have the same length")
     return k, rows

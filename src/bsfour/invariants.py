@@ -25,6 +25,7 @@ from .errors import (
     InconsistentDescriptorError,
     SchemaError,
 )
+from .groupring import GroupRingElt
 from .hermform import HermitianForm, Parity
 from .intlinalg import AbelianGroup
 
@@ -206,7 +207,7 @@ class ManifoldDescriptor:
         if form.inverse is None:
             raise DescriptorError(
                 "descriptor forms must carry a verified inverse")
-        par = hermform.parity(form)
+        par = form.parity
         if w2 is W2Type.I and par is not Parity.ODD:
             raise InconsistentDescriptorError("type I requires an odd form")
         if w2 is not W2Type.I and par is not Parity.EVEN:
@@ -239,8 +240,10 @@ class ManifoldDescriptor:
                 "rank": self.form.rank, "parity": self.parity.value,
                 "signature": self.signature}
 
-    def to_json(self):
-        return {"k": self.k, "form": self.form.to_json(),
+    def to_json(self, entry=GroupRingElt.to_json):
+        """The descriptor document; entry writes the form's entries
+        (see HermitianForm.to_json)."""
+        return {"k": self.k, "form": self.form.to_json(entry),
                 "w2": self.w2.value, "ks": self.ks}
 
     @classmethod
@@ -325,9 +328,9 @@ def realize(k, form):
     """Descriptors of the manifolds carrying a given certificated
     form: two for odd forms (KS free), one for even forms when k is
     even (type II), two when k is odd (types II and III).  Every
-    descriptor runs the constructor's realizability checks; the
-    augmented signature is computed once, by the first read of
-    form.signature, and kept on the form."""
+    descriptor runs the constructor's realizability checks; the parity
+    and the augmented signature are computed once, by the first reads
+    of form.parity and form.signature, and kept on the form."""
     if not isinstance(form, HermitianForm):
         raise SchemaError("realize takes a HermitianForm")
     if form.k != k:
@@ -336,7 +339,7 @@ def realize(k, form):
             % (k, form.k))
     if form.inverse is None:
         raise DescriptorError("realize requires a verified inverse")
-    if hermform.parity(form) is Parity.ODD:
+    if form.parity is Parity.ODD:
         return [ManifoldDescriptor(k, form, W2Type.I, ks) for ks in (0, 1)]
     arf = form.arf.value if form.arf is not None else None
     # An even form with an inverse augments to an even unimodular
