@@ -351,3 +351,22 @@ def oracle_ring_from_json(doc):
     # oracle_element_from_json returns reduced elements, so only the
     # zero sums are left to drop before the trusted constructor.
     return GroupRingElt._raw(k, {g: c for g, c in acc.items() if c})
+
+
+def oracle_json_matrix(rows, k, what, memo):
+    """hermform._json_matrix as it read before the term memo: each cell
+    on its own, by oracle_ring_from_json; memo is not used."""
+    if not isinstance(rows, list) or any(not isinstance(r, list)
+                                         for r in rows):
+        raise SchemaError("%s must be a list of rows" % what)
+    out = []
+    for row in rows:
+        entries = []
+        for cell in row:
+            p = oracle_ring_from_json(cell)
+            if p.k != k:
+                raise SchemaError("%s entry has k=%d, form has k=%d"
+                                  % (what, p.k, k))
+            entries.append(p)
+        out.append(tuple(entries))
+    return tuple(out)

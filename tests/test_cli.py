@@ -19,12 +19,13 @@ import time
 import pytest
 
 from bsfour import bsgroup, cli, foxchain, hermform, intlinalg, invariants
+from bsfour import _kernel
 from bsfour._kernel import bs_inv
 from bsfour.groupring import GroupRingElt
 from bsfour.hermform import HermitianForm
 from bsfour.invariants import ManifoldDescriptor, W2Type
 
-from support import element
+from support import element, random_unit_triangular
 
 
 def run(capsys, *argv):
@@ -130,6 +131,71 @@ def test_form_and_realize_compute_the_signature_once(capsys, monkeypatch,
         calls.clear()
         run_json(capsys, *argv)
         assert len(calls) == 1, argv
+
+
+def test_form_and_realize_compute_the_parity_once(capsys, monkeypatch,
+                                                  tmp_path):
+    calls = []
+    real = hermform.parity
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(hermform, "parity", counting)
+    even = write(tmp_path / "even.json",
+                 hermform.even_reference_form(3, 1, 1).to_json())
+    odd = write(tmp_path / "odd.json",
+                hermform.from_integer_matrix(3, [[1, 0], [0, -1]]).to_json())
+    for argv in (("form", even), ("realize", even), ("realize", odd),
+                 ("realize", even, "--try-invert")):
+        calls.clear()
+        run_json(capsys, *argv)
+        assert len(calls) == 1, argv
+
+
+def test_term_memo_lasts_one_document_read(capsys, monkeypatch, tmp_path):
+    """A document's terms are reduced once per distinct element of the
+    document, and nothing is kept across reads: a second read of the
+    same document, in the library or through cli.main, reduces as many
+    as the first."""
+    calls = []
+    real = _kernel.bs_reduce
+
+    def counting(num, pw, t, k):
+        calls.append((num, pw, t))
+        return real(num, pw, t, k)
+
+    f = hermform.congruence(
+        hermform.even_reference_form(3, 0, 1),
+        random_unit_triangular(random.Random(28), 3, 8, max_terms=1))
+    d = ManifoldDescriptor(3, f, W2Type.II, 1)
+    U = hermform.matrix_to_json(hermform.hyperbolic(3, 4).inverse, 3)
+    form, desc, iso = (write(tmp_path / name, doc) for name, doc in (
+        ("form.json", f.to_json()), ("desc.json", d.to_json()),
+        ("u.json", U)))
+    elts = [term["elt"] for row in f.to_json()["matrix"] + f.to_json()[
+        "inverse"] for cell in row for term in cell["terms"]]
+    distinct = {(e["num"], e["pow"], e["t"]) for e in elts}
+    assert len(distinct) < len(elts)
+    monkeypatch.setattr(_kernel, "bs_reduce", counting)
+    reads = [lambda: HermitianForm.from_json(f.to_json()),
+             lambda: hermform.matrix_from_json(
+                 hermform.matrix_to_json(f.matrix, 3)),
+             lambda: run_json(capsys, "form", form),
+             lambda: run_json(capsys, "realize", form),
+             lambda: run_json(capsys, "classify", desc, desc,
+                              "--isometry", iso)]
+    counts = []
+    for read in reads:
+        first = []
+        for _ in range(2):
+            calls.clear()
+            read()
+            first.append(len(calls))
+        assert first[0] == first[1], read
+        counts.append(first[0])
+    assert counts[0] == len(distinct)
 
 
 def test_lgroups_builds_one_table(capsys, monkeypatch):
@@ -916,6 +982,37 @@ def test_result_coefficient_beyond_digit_limit_exits_2(capsys, tmp_path):
     assert line == ("error: a ring element of the result has a coeff of"
                     " more than 4300 digits, the most the JSON readers"
                     " accept")
+
+
+@pytest.mark.parametrize("field", ["num", "coeff"])
+def test_result_beyond_digit_limit_is_one_line_in_every_output(
+        capsys, tmp_path, field):
+    """The forms of the two tests above, whose inverses hold a num and a
+    coeff too long to write: form and realize, each with and without
+    --pretty, exit 2 with the line that to_json raises."""
+    if field == "num":
+        k = 10 ** 5
+        u = (GroupRingElt.from_word(k, "a" * 900)
+             + GroupRingElt.from_word(k, "b"))
+        one = GroupRingElt.one(k)
+        f = HermitianForm(k, [[one, u],
+                              [u.involute(), u.involute() * u + one]])
+        owner = "a group element"
+    else:
+        a = 10 ** 4000
+        M = [[0, 0, 1], [0, 1, a], [1, a, 0]]
+        f = HermitianForm(2, [[GroupRingElt.one(2) * x for x in row]
+                              for row in M])
+        owner = "a ring element"
+    path = write(tmp_path / "form.json", f.to_json())
+    for argv in (["form"], ["form", "--pretty"], ["realize"],
+                 ["realize", "--pretty"]):
+        code = cli.main(argv + ["--try-invert", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err == (
+            "error: %s of the result has a %s of more than 4300 digits,"
+            " the most the JSON readers accept\n" % (owner, field)), argv
 
 
 def test_lgroups_beyond_digit_limit_exits_2(capsys):

@@ -546,9 +546,10 @@ def test_forms_are_read_only():
     base = hermform.even_reference_form(k, hyperbolics=1)
     U = random_unit_triangular(random.Random(81), k, base.rank)
     for f in (base, congruence(base, U)):
-        # _signature before and after the signature property fills it
-        for name in ("k", "matrix", "inverse", "arf", "_signature",
-                     "signature", "_signature"):
+        # _parity and _signature before and after their properties fill
+        # them
+        for name in ("k", "matrix", "inverse", "arf", "_parity", "parity",
+                     "_parity", "_signature", "signature", "_signature"):
             before = getattr(f, name)
             with pytest.raises(AttributeError):
                 setattr(f, name, None)

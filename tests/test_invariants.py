@@ -316,6 +316,34 @@ def test_realize_computes_the_signature_once(monkeypatch):
         assert len(calls) == len(out)
 
 
+def test_realize_computes_the_parity_once(monkeypatch):
+    # one hermform.parity call per realize, among them an even form at
+    # odd k (two descriptors and the odd-or-even choice), and none for a
+    # second realize of the same form
+    cases = [(2, hermform.hyperbolic(2, 1)),
+             (3, hermform.even_reference_form(3, 1, 1)),
+             (3, hermform.from_integer_matrix(3, intlinalg.e8_matrix())),
+             (2, odd_form(2)),
+             (3, odd_form(3))]
+    calls = []
+    real = hermform.parity
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(hermform, "parity", counting)
+    for k, f in cases:
+        calls.clear()
+        out = realize(k, f)
+        assert calls == [f], (k, f.rank)
+        calls.clear()
+        again = realize(k, f)
+        assert calls == [], (k, f.rank)
+        for d in out + again:
+            assert d.parity is real(HermitianForm(k, f.matrix, f.inverse))
+
+
 def test_realize_rejects_uncertificated_forms():
     with pytest.raises(DescriptorError):
         realize(2, hermform.from_integer_matrix(2, [[3]]))

@@ -14,13 +14,22 @@ first; for forms and descriptors, whose checks need a hermitian matrix
 and a certificate to get past, up to two nodes anywhere in a valid
 document are replaced or deleted.
 
+Form and matrix documents are read with one term memo per document;
+with terms repeated and twinned (a field swapped for a value of another
+type that compares equal, or for an unhashable []), in either order,
+and cells moved to another k, they give what a read of each cell on
+its own by the oracle gives: the same entries or the same first error.
+
 The CLI's writer, cli._dumps, gives the bytes json.dumps(doc, indent=2)
 gives on any document of dicts, lists, tuples, str, int, bool and None,
-and raises TypeError on anything else.
+and raises TypeError on anything else.  A ring element in a document,
+zero included, is written as json.dumps writes its to_json(), and a
+number too long to write raises to_json's one-line error.
 """
 
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,8 +42,8 @@ from bsfour.hermform import ARF_ASSERTED, ArfTag, HermitianForm
 from bsfour.invariants import ManifoldDescriptor, realize
 
 from support import (element, oracle_element_from_json, oracle_json_int,
-                     oracle_ring_from_json, random_unit_triangular,
-                     read_element)
+                     oracle_json_matrix, oracle_ring_from_json,
+                     random_unit_triangular, read_element)
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 database=None)
@@ -347,6 +356,116 @@ def test_descriptor_reader_raises_only_package_errors(doc):
                    ManifoldDescriptor.to_json)
 
 
+@st.composite
+def twinned(draw, docs):
+    """A valid form or matrix document with two to six of its terms
+    replaced by one term of the common types (str coeff, num and t, int
+    pow) or by a twin of it: one field, the same in every twin of the
+    document, swapped for a value of another type that compares equal,
+    or for an unhashable [].  Sometimes a cell is moved to another k as
+    well."""
+    doc = draw(docs)
+    k = doc["k"]
+    term = {"coeff": "1",
+            "num": draw(st.sampled_from(["0", "1", "3"])),
+            "pow": draw(st.sampled_from([0, 1])),
+            "t": draw(st.sampled_from(["0", "1"]))}
+    twins = {"coeff": [1, 1.0, True, []],
+             "num": [int(term["num"]), []],
+             "pow": [bool(term["pow"]), float(term["pow"]), []],
+             "t": [int(term["t"]), []]}
+    name = draw(st.sampled_from(sorted(twins)))  # the field twinned
+    paths = [path for path in nodes(doc)
+             if len(path) > 1 and path[-2] == "terms"]
+    for _ in range(draw(st.integers(2, 6)) if paths else 0):
+        fields = dict(term)
+        fields[name] = draw(st.sampled_from([term[name]] + twins[name]))
+        doc = replaced(doc, draw(st.sampled_from(paths)), {
+            "coeff": fields.pop("coeff"), "elt": fields})
+    if draw(st.integers(0, 7)) == 0:
+        paths = [path for path in nodes(doc)
+                 if len(path) == 4 and path[-1] == "k"]
+        if paths:
+            doc = replaced(doc, draw(st.sampled_from(paths)),
+                           draw(st.sampled_from([-k, k + 1])))
+    return doc
+
+
+def read_outcome(read, doc):
+    """What read does with a form or matrix document: the entries read
+    as plain data, or the type and message of the error it raises."""
+    def plain(rows):
+        return None if rows is None else [
+            [(p.k, list(p.terms.items())) for p in row] for row in rows]
+    try:
+        value = read(doc)
+    except BsfourError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, HermitianForm):
+        return (value.k, plain(value.matrix), plain(value.inverse),
+                value.arf)
+    k, rows = value
+    return k, plain(rows)
+
+
+def per_cell(read):
+    """read, with each cell read on its own by the oracle."""
+    def oracle_read(doc):
+        with mock.patch.object(hermform, "_json_matrix",
+                               oracle_json_matrix):
+            return read(doc)
+    return oracle_read
+
+
+def form_and_matrix_docs(k):
+    return forms(k).flatmap(lambda f: st.sampled_from([
+        (HermitianForm.from_json, f.to_json()),
+        (hermform.matrix_from_json, hermform.matrix_to_json(f.matrix, k)),
+        (hermform.matrix_from_json, hermform.matrix_to_json(f.inverse, k))
+        if f.inverse is not None else
+        (HermitianForm.from_json, f.to_json())]))
+
+
+@settings(FUZZ, max_examples=300)
+@given(ks.flatmap(form_and_matrix_docs)
+       .flatmap(lambda rd: st.tuples(st.just(rd[0]),
+                                     twinned(st.just(rd[1])))))
+def test_memo_reader_agrees_with_the_per_cell_oracle(read_doc):
+    read, doc = read_doc
+    assert read_outcome(read, doc) == read_outcome(per_cell(read), doc)
+
+
+TWIN_ORDERS = [(name, first, second)
+               for name, values in (("coeff", ["1", 1, 1.0, True, []]),
+                                    ("pow", [1, True, 1.0, []]),
+                                    ("pow", [0, False, 0.0]),
+                                    ("num", ["1", 1, []]),
+                                    ("t", ["0", 0, []]))
+               for first in values for second in values
+               if first is not second]
+
+
+@pytest.mark.parametrize("name, first, second", TWIN_ORDERS,
+                         ids=["%s-%r-%r" % case for case in TWIN_ORDERS])
+def test_memo_reader_keeps_twins_apart(name, first, second):
+    # the first and the last term of a transported E8 form over k = 3
+    # become one element with the named field first and second, each
+    # twin in both orders; the form and its matrix alone are read
+    f = hermform.congruence(
+        hermform.from_integer_matrix(3, intlinalg.e8_matrix()),
+        random_unit_triangular(random.Random(27), 3, 8, max_terms=1))
+    for read, doc in ((HermitianForm.from_json, f.to_json()),
+                      (hermform.matrix_from_json,
+                       hermform.matrix_to_json(f.matrix, 3))):
+        paths = [path for path in nodes(doc)
+                 if len(path) > 1 and path[-2] == "terms"]
+        for path, value in ((paths[0], first), (paths[-1], second)):
+            term = {"coeff": "1", "elt": {"num": "1", "pow": 1, "t": "0"}}
+            (term if name == "coeff" else term["elt"])[name] = value
+            doc = replaced(doc, path, term)
+        assert read_outcome(read, doc) == read_outcome(per_cell(read), doc)
+
+
 @pytest.mark.parametrize("value", [True, 1.0, "1"])
 def test_readers_reject_non_integer_ks_and_arf(value):
     # 1.0 and True compare equal to 1 and used to be read, and written
@@ -405,3 +524,54 @@ not_json = st.sampled_from([1.5, -0.0, float("inf"), {1, 2}, b"\x00",
 def test_writer_rejects_other_types(doc):
     with pytest.raises(TypeError):
         cli._dumps(doc)
+
+
+def json_twin(doc):
+    """doc with each ring element in it replaced by its to_json()."""
+    if isinstance(doc, GroupRingElt):
+        return doc.to_json()
+    if isinstance(doc, dict):
+        return {key: json_twin(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(json_twin(value) for value in doc)
+    return doc
+
+
+# Documents with ring elements, the zero element among them, at any
+# depth, as the form and realize commands build them.
+ring_leaves = st.one_of(ks.flatmap(ring_elts), ks.map(GroupRingElt.zero))
+
+
+@FUZZ
+@given(st.recursive(ring_leaves | json_docs, around, max_leaves=8))
+def test_writer_writes_ring_elements_as_their_to_json(doc):
+    assert cli._dumps(doc) == json.dumps(json_twin(doc), indent=2)
+
+
+@settings(FUZZ, max_examples=50)
+@given(ks.flatmap(forms))
+def test_writer_writes_form_documents_as_to_json(f):
+    # what form and realize write, against the library's plain dicts
+    out = realize(f.k, f) if f.inverse is not None else []
+    assert cli._dumps(f.to_json(cli._itself)) == json.dumps(f.to_json(),
+                                                            indent=2)
+    assert cli._dumps([d.to_json(cli._itself) for d in out]) == json.dumps(
+        [d.to_json() for d in out], indent=2)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ({(3 * 10 ** 4400 + 1, 0, 0): 1}, "a group element of the result has a"
+     " num of more than 4300 digits, the most the JSON readers accept"),
+    ({(0, 0, 0): 10 ** 4400}, "a ring element of the result has a coeff"
+     " of more than 4300 digits, the most the JSON readers accept")],
+    ids=["num", "coeff"])
+def test_writer_names_the_digit_limit_as_to_json_does(terms, message):
+    # a short term first, so the long one is not the first one written
+    p = GroupRingElt(2, {**terms, (1, 0, -1): 5})
+    with pytest.raises(BsfourError) as caught:
+        p.to_json()
+    assert str(caught.value) == message
+    for doc in (p, [GroupRingElt.one(2), p], {"form": {"matrix": [[p]]}}):
+        with pytest.raises(BsfourError) as caught:
+            cli._dumps(doc)
+        assert str(caught.value) == message
