@@ -27,8 +27,8 @@ True, a 1.0 or an int num never meets an entry made for another type,
 an unhashable value is never hashed, and k in the key keeps a cell over
 another k apart.  A miss, or a value of any other type, runs the checks
 in the order docs/schemas/element.md gives; a hit skips only checks
-that the same value passed before over the same k, so every error is
-the one a read without the memo raises.  Elements are written by
+that the same values passed before (no check depends on k), so every
+error is the one a read without the memo raises.  Elements are written by
 _json_element, and whole ring elements by GroupRingElt.to_json or,
 on the command line, straight from their sorted terms by cli._dumps.
 """

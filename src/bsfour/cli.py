@@ -289,16 +289,18 @@ def _report_table(doc):
     return "\n".join(line.rstrip() for line in lines)
 
 
-# Per indentation of a ring element's own line: the text of the element
-# up to its first term, the text of one term, the text between terms and
-# the text after the last, each a %-template; filled on first use.
+# Per indentation of a ring element's own line, %-templates: the text
+# of the zero element, and of any other the text up to its first term,
+# the text of one term, the text between terms and the text after the
+# last; filled on first use.
 _RING_TEMPLATES = {}
 
 
 def _ring_templates(indent):
     i1, i2 = indent + "  ", indent + "    "
     i3, i4 = i2 + "  ", i2 + "    "
-    return ("{" + i1 + '"k": %d,' + i1 + '"terms": [' + i2,
+    return ("{" + i1 + '"k": %d,' + i1 + '"terms": []' + indent + "}",
+            "{" + i1 + '"k": %d,' + i1 + '"terms": [' + i2,
             "{" + i3 + '"coeff": "%d",' + i3 + '"elt": {' + i4 + '"num": "%d",'
             + i4 + '"pow": %d,' + i4 + '"t": "%d"' + i3 + "}" + i2 + "}",
             "," + i2,
@@ -308,15 +310,14 @@ def _ring_templates(indent):
 def _encode_ring(p, indent, append):
     """Pass to append the JSON text of p.to_json() at indent, written
     straight from p's sorted terms."""
-    terms = p.terms
-    if not terms:
-        append("{" + indent + '  "k": %d,' % p.k + indent + '  "terms": []'
-               + indent + "}")
-        return
     templates = _RING_TEMPLATES.get(indent)
     if templates is None:
         templates = _RING_TEMPLATES[indent] = _ring_templates(indent)
-    head, term, sep, tail = templates
+    zero, head, term, sep, tail = templates
+    terms = p.terms
+    if not terms:
+        append(zero % p.k)
+        return
     try:
         text = sep.join([term % (terms[g], g[0], g[1], g[2])
                          for g in sorted(terms, key=bsgroup.sort_key)])
