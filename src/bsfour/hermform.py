@@ -252,8 +252,11 @@ class HermitianForm:
                                intlinalg.signature(augment_form(self)))
         return self._signature
 
-    def to_json(self, entry=GroupRingElt.to_json):
-        """The form document, each matrix entry written by entry."""
+    def to_json(self, entry=None):
+        """The form document, each matrix entry written by entry, by
+        default GroupRingElt.to_json."""
+        if entry is None:
+            entry = GroupRingElt.to_json
         doc = {"k": self.k,
                "matrix": [[entry(p) for p in row] for row in self.matrix]}
         if self.inverse is not None:

@@ -25,7 +25,6 @@ from .errors import (
     InconsistentDescriptorError,
     SchemaError,
 )
-from .groupring import GroupRingElt
 from .hermform import HermitianForm, Parity
 from .intlinalg import AbelianGroup
 
@@ -240,7 +239,7 @@ class ManifoldDescriptor:
                 "rank": self.form.rank, "parity": self.parity.value,
                 "signature": self.signature}
 
-    def to_json(self, entry=GroupRingElt.to_json):
+    def to_json(self, entry=None):
         """The descriptor document; entry writes the form's entries
         (see HermitianForm.to_json)."""
         return {"k": self.k, "form": self.form.to_json(entry),
