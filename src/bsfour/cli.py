@@ -390,8 +390,9 @@ def _encode(value, indent, append):
 def _dumps(doc):
     """The text the json module writes for doc with indent=2, byte for
     byte, built in one pass and joined once.  dict, list and tuple are
-    the containers, str, int, bool and None the leaves, and keys are
-    str; anything else raises TypeError."""
+    the containers, str, int, bool and None the leaves, a GroupRingElt
+    is written as its to_json(), and keys are str; anything else raises
+    TypeError."""
     out = []
     _encode(doc, "\n", out.append)
     return "".join(out)

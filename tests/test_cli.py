@@ -948,6 +948,18 @@ def test_document_k_beyond_limit_exits_2_without_terms(capsys, tmp_path):
         assert len(line) < 100, argv
 
 
+def assert_digit_limit(capsys, path, message):
+    """form and realize --try-invert on the form at path, each with and
+    without --pretty, exit 2 with the one line "error: " + message: the
+    ring elements are written, or flattened, after the command ran."""
+    for argv in (["form"], ["form", "--pretty"], ["realize"],
+                 ["realize", "--pretty"]):
+        code = cli.main(argv + ["--try-invert", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err == "error: %s\n" % message, argv
+
+
 def test_result_beyond_digit_limit_exits_2(capsys, tmp_path):
     """[[1, u], [u*, u*u + 1]] with u = a^900 + b at k = 10^5 is read,
     and --try-invert finds an inverse with the term b^(-k^900) a^900,
@@ -959,11 +971,9 @@ def test_result_beyond_digit_limit_exits_2(capsys, tmp_path):
     one = GroupRingElt.one(k)
     f = HermitianForm(k, [[one, u], [u.involute(), u.involute() * u + one]])
     path = write(tmp_path / "form.json", f.to_json())
-    code = cli.main(["form", "--try-invert", path])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    [line] = captured.err.splitlines()
-    assert "4300" in line and "set_int_max_str_digits" not in line
+    assert_digit_limit(capsys, path, "a group element of the result has a"
+                       " num of more than 4300 digits, the most the JSON"
+                       " readers accept")
 
 
 def test_result_coefficient_beyond_digit_limit_exits_2(capsys, tmp_path):
@@ -975,44 +985,9 @@ def test_result_coefficient_beyond_digit_limit_exits_2(capsys, tmp_path):
     M = [[0, 0, 1], [0, 1, a], [1, a, 0]]
     f = HermitianForm(2, [[GroupRingElt.one(2) * x for x in row] for row in M])
     path = write(tmp_path / "form.json", f.to_json())
-    code = cli.main(["form", "--try-invert", path])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line == ("error: a ring element of the result has a coeff of"
-                    " more than 4300 digits, the most the JSON readers"
-                    " accept")
-
-
-@pytest.mark.parametrize("field", ["num", "coeff"])
-def test_result_beyond_digit_limit_is_one_line_in_every_output(
-        capsys, tmp_path, field):
-    """The forms of the two tests above, whose inverses hold a num and a
-    coeff too long to write: form and realize, each with and without
-    --pretty, exit 2 with the line that to_json raises."""
-    if field == "num":
-        k = 10 ** 5
-        u = (GroupRingElt.from_word(k, "a" * 900)
-             + GroupRingElt.from_word(k, "b"))
-        one = GroupRingElt.one(k)
-        f = HermitianForm(k, [[one, u],
-                              [u.involute(), u.involute() * u + one]])
-        owner = "a group element"
-    else:
-        a = 10 ** 4000
-        M = [[0, 0, 1], [0, 1, a], [1, a, 0]]
-        f = HermitianForm(2, [[GroupRingElt.one(2) * x for x in row]
-                              for row in M])
-        owner = "a ring element"
-    path = write(tmp_path / "form.json", f.to_json())
-    for argv in (["form"], ["form", "--pretty"], ["realize"],
-                 ["realize", "--pretty"]):
-        code = cli.main(argv + ["--try-invert", path])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == "", argv
-        assert captured.err == (
-            "error: %s of the result has a %s of more than 4300 digits,"
-            " the most the JSON readers accept\n" % (owner, field)), argv
+    assert_digit_limit(capsys, path, "a ring element of the result has a"
+                       " coeff of more than 4300 digits, the most the JSON"
+                       " readers accept")
 
 
 def test_lgroups_beyond_digit_limit_exits_2(capsys):
