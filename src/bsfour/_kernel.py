@@ -17,7 +17,10 @@ the terms; _inv is its one-term case.
 
 A constant operand {(0, 0, 0): c} skips the group law (1 g = g 1 = g):
 _addmul adds c times each term of the other operand under its own key,
-in the loop's order.  out must be neither p nor q, both reduced.
+in the loop's order.  Into an empty out that is one copy at C level:
+dict.update with the other operand for c = 1, with one dict
+comprehension of the scaled terms otherwise; the keys, coefficients
+and order are the loop's.  out must be neither p nor q, both reduced.
 """
 
 
@@ -59,6 +62,11 @@ def _addmul(out, p, q, k):
         p, q = q, p
     if len(p) == 1 and (0, 0, 0) in p:
         c = p[0, 0, 0]
+        if not out:
+            # the loop below would store c c2 under each key of q in
+            # order, with no sum and no zero (c and c2 are nonzero)
+            out.update(q if c == 1 else {g: c * c2 for g, c2 in q.items()})
+            return out
         for g, c2 in q.items():
             c2 = c * c2 + out.get(g, 0)
             if c2:

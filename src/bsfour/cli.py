@@ -307,32 +307,39 @@ def _ring_templates(indent):
             i1 + "]" + indent + "}")
 
 
-def _encode_ring(p, indent, append):
+def _encode_ring(p, indent, append, memo):
     """Pass to append the JSON text of p.to_json() at indent, written
-    straight from p's sorted terms."""
-    templates = _RING_TEMPLATES.get(indent)
-    if templates is None:
-        templates = _RING_TEMPLATES[indent] = _ring_templates(indent)
-    zero, head, term, sep, tail = templates
-    terms = p.terms
-    if not terms:
-        append(zero % p.k)
-        return
-    try:
-        text = sep.join([term % (terms[g], g[0], g[1], g[2])
-                         for g in sorted(terms, key=bsgroup.sort_key)])
-    except ValueError:  # a number of more than 4300 digits
-        _encode(p.to_json(), indent, append)  # raises the one-line error
-        return
-    append(head % p.k + text + tail)
+    straight from p's sorted terms once: memo maps (id(p), indent) to
+    the text."""
+    key = (id(p), indent)
+    text = memo.get(key)
+    if text is None:
+        templates = _RING_TEMPLATES.get(indent)
+        if templates is None:
+            templates = _RING_TEMPLATES[indent] = _ring_templates(indent)
+        zero, head, term, sep, tail = templates
+        terms = p.terms
+        if not terms:
+            text = zero % p.k
+        else:
+            try:
+                text = head % p.k + sep.join([
+                    term % (terms[g], g[0], g[1], g[2])
+                    for g in sorted(terms, key=bsgroup.sort_key)]) + tail
+            except ValueError:  # a number of more than 4300 digits
+                # raises the one-line error
+                _encode(p.to_json(), indent, append, memo)
+                return
+        memo[key] = text
+    append(text)
 
 
-def _encode(value, indent, append):
+def _encode(value, indent, append, memo):
     """Pass to append, piece by piece, the JSON text of value with
     two-space indentation; indent is the line break and indentation
     that value's own line starts with.  Plain str and int items are
-    written in the loops, and ring elements by _encode_ring; every
-    other item goes through a call."""
+    written in the loops, and ring elements by _encode_ring with memo;
+    every other item goes through a call."""
     if isinstance(value, dict):
         if not value:
             append("{}")
@@ -348,9 +355,9 @@ def _encode(value, indent, append):
             elif cls is int:
                 append(int.__repr__(item))
             elif cls is GroupRingElt:
-                _encode_ring(item, inner, append)
+                _encode_ring(item, inner, append, memo)
             else:
-                _encode(item, inner, append)
+                _encode(item, inner, append, memo)
         append(indent + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
@@ -367,14 +374,14 @@ def _encode(value, indent, append):
             elif cls is int:
                 append(int.__repr__(item))
             elif cls is GroupRingElt:
-                _encode_ring(item, inner, append)
+                _encode_ring(item, inner, append, memo)
             else:
-                _encode(item, inner, append)
+                _encode(item, inner, append, memo)
         append(indent + "]")
     elif isinstance(value, str):
         append(_quote(value))
     elif isinstance(value, GroupRingElt):
-        _encode_ring(value, indent, append)
+        _encode_ring(value, indent, append, memo)
     elif value is None:
         append("null")
     elif value is True:
@@ -392,9 +399,13 @@ def _dumps(doc):
     byte, built in one pass and joined once.  dict, list and tuple are
     the containers, str, int, bool and None the leaves, a GroupRingElt
     is written as its to_json(), and keys are str; anything else raises
-    TypeError."""
+    TypeError.  A ring element that doc holds more than once at one
+    indentation, as the descriptors of realize hold one form, is
+    written once and its text repeated."""
     out = []
-    _encode(doc, "\n", out.append)
+    # keyed by id: doc holds every element it reaches until the call
+    # returns, so no id is reused within it
+    _encode(doc, "\n", out.append, {})
     return "".join(out)
 
 

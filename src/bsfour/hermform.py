@@ -13,19 +13,24 @@ constants, otherwise Gauss-Jordan elimination with trivial-unit pivots
 +-g, then one check; sound, not complete, and never failing on a unit
 triangular matrix.  try_invert, congruence and isometry_inverse all
 call it, and a form that try_invert certifies is not checked again.
-hyperbolic and from_integer_matrix attach their known inverse, which
-their constructor checks.  A product is compared with its target entry
-by entry, as it is summed.
+The check of a lifted integer inverse is the integer product, which is
+the same check: the entrywise embedding of Z in Z[B(k)] is an
+injective ring map.  from_integer_matrix takes its certificate from
+invert_matrix; hyperbolic attaches its known inverse, which its
+constructor checks.  A product is compared with its target entry by
+entry, as it is summed.
 verify_isometry builds no inverse: the isometry equation proves the
 isometry invertible.  congruence and orthogonal_sum derive their
 matrices and certificates from checked parts instead of checking them
 again, and congruence fills the lower half of each hermitian product
 by the involution.  A form transported by U from one with certificate
 Cf is checked by one product: Ubar C = Cf W*, for Ubar = involute(U)
-and the checked W = Ubar^-1.  The proofs are at each function.  Forms
-are read-only, so a certificate once checked stays attached to its
-matrix, and a transported form to its factors.  Parity reads the
-identity coefficients of the diagonal; cross terms contribute
+and the checked W = Ubar^-1; congruence multiplies out T = Cf W* once,
+as that target and as the right factor of its certificate C2 = W T.
+The proofs are at each function.  Forms are read-only, so a
+certificate once checked stays attached to its matrix, and a
+transported form to its factors.  Parity reads the identity
+coefficients of the diagonal; cross terms contribute
 lambda + conjugate(lambda), which has even identity coefficient, so the
 diagonal rule agrees with evaluation parity.  The augmented form is the
 integer Gram matrix obtained by applying the augmentation entrywise;
@@ -348,13 +353,13 @@ def _constants(k, M):
 
 
 def from_integer_matrix(k, M):
-    """Embed a symmetric integer matrix as constants.  Unimodular
-    matrices get their integer inverse as certificate; integer forms
-    carry the extended-from-Z arf tag."""
+    """Embed a symmetric integer matrix as constants.  A unimodular
+    matrix gets as certificate the lifted inverse that invert_matrix
+    checked over Z; integer forms carry the extended-from-Z arf tag."""
     rows = _constants(k, M)
-    inv = intlinalg.unimodular_inverse(M)
-    cert = _constants(k, inv) if inv is not None else None
-    return HermitianForm(k, rows, inverse=cert, arf=ArfTag(ARF_EXTENDED, 0))
+    cert = invert_matrix(rows, k)  # ValueError unless M is square
+    HermitianForm._check_hermitian(rows)  # the check _DerivedForm skips
+    return _DerivedForm(k, rows, cert, ArfTag(ARF_EXTENDED, 0))
 
 
 def orthogonal_sum(f, g):
@@ -397,21 +402,39 @@ def _is_constant(mat):
 def invert_matrix(mat, k):
     """Invert a square matrix over the group ring: a matrix of integer
     constants by lifting its integer inverse, any other by _eliminate.
-    Sound but not complete: returns an inverse checked by _is_inverse,
-    or None.  It never fails on a unit triangular matrix, and congruence
-    relies on that to transport certificates."""
+    Sound but not complete: returns an inverse checked once, by exact
+    multiplication, or None.  The check is M X = 1: over Z by
+    _is_integer_inverse for a constant matrix, which is the same check
+    (the proof is below), and by _is_inverse otherwise.  It never fails
+    on a unit triangular matrix, and congruence relies on that to
+    transport certificates."""
     if _is_constant(mat):
-        # The augmentation is the identity on constants, so inv is the
-        # integer inverse of mat; Z -> Z[B(k)] is a ring map, so its lift
-        # is the inverse over the group ring, even where the +-g pivots
-        # of _eliminate get stuck, as on E8.  A unit triangular matrix of
-        # constants has determinant 1.
-        inv = intlinalg.unimodular_inverse([[p.augment() for p in row]
-                                            for row in mat])
-        inv = _constants(k, inv) if inv is not None else None
-    else:
-        inv = _eliminate(mat, k)
-    return inv if inv is not None and _is_inverse(mat, inv, k) else None
+        # The augmentation is the identity on constants, so mat is the
+        # entrywise lift of the integer matrix M.  The lift Z -> Z[B(k)]
+        # is an injective ring map, so the product of two lifts is the
+        # lift of the integer product, and it is 1 exactly when M X = 1:
+        # checking over Z is checking over the group ring.  The lifted
+        # inverse holds even where the +-g pivots of _eliminate get
+        # stuck, as on E8.  A unit triangular matrix of constants has
+        # determinant 1.
+        M = [[p.augment() for p in row] for row in mat]
+        X = intlinalg.unimodular_inverse(M)
+        if X is None or not _is_integer_inverse(M, X):
+            return None
+        return _constants(k, X)
+    X = _eliminate(mat, k)
+    return X if X is not None and _is_inverse(mat, X, k) else None
+
+
+def _is_integer_inverse(M, X):
+    """True iff X is the inverse of the square integer matrix M: the
+    shape first, then M X = 1 entry by entry (X M = 1 follows over Z,
+    as over any commutative ring)."""
+    if not _is_square(X, len(M)):
+        return False
+    cols = list(zip(*X))
+    return all(sum(a * x for a, x in zip(row, col)) == (i == j)
+               for i, row in enumerate(M) for j, col in enumerate(cols))
 
 
 def _eliminate(mat, k):
@@ -499,12 +522,13 @@ def verify_inverse(f, C):
 
 
 class _DerivedForm(HermitianForm):
-    """A form derived from checked parts by congruence, orthogonal_sum
-    or try_invert: of the constructor's checks only the hermitian one
-    and the product of certificate and matrix are skipped.  check, when
-    given, replaces verify_inverse's (F, T).  try_invert attaches to
-    f.matrix, checked hermitian when f was built (forms are read-only),
-    the inverse that invert_matrix checked."""
+    """A form derived from checked parts by congruence, orthogonal_sum,
+    try_invert or from_integer_matrix: of the constructor's checks only
+    the hermitian one and the product of certificate and matrix are
+    skipped.  check, when given, replaces verify_inverse's (F, T).
+    try_invert attaches to f.matrix, checked hermitian when f was built
+    (forms are read-only), and from_integer_matrix to a matrix it has
+    just checked hermitian, the inverse that invert_matrix checked."""
 
     __slots__ = ()
 
@@ -523,11 +547,12 @@ class _DerivedForm(HermitianForm):
 
 def congruence(f, U):
     """The form U^T A involute(U).  When f has a certificate C and
-    invert_matrix finds W = involute(U)^-1, the form gets W C W* and keeps
-    involute(U) and C W* for verify_inverse; otherwise it is a plain
-    form without a certificate.  Both products are hermitian: only the
-    entries on and above the diagonal are multiplied out, the rest are
-    filled by the involution.  U must be square of matching rank."""
+    invert_matrix finds W = involute(U)^-1, the form gets W T, for
+    T = C W* multiplied out once, and keeps involute(U) and T for
+    verify_inverse; otherwise it is a plain form without a certificate.
+    Both W T and the matrix are hermitian: only the entries on and above
+    the diagonal are multiplied out, the rest are filled by the
+    involution.  U must be square of matching rank."""
     if not isinstance(f, HermitianForm):
         raise TypeError("congruence takes a HermitianForm")
     U = _freeze(U)
@@ -537,7 +562,8 @@ def congruence(f, U):
     _check_entries(f.k, U, "congruence")
     k = f.k
     # With A = f.matrix, C = f.inverse and W = Ubar^-1, the new matrix is
-    # A2 = U^T A Ubar and its certificate C2 = W C W*.  Both are
+    # A2 = U^T A Ubar and its certificate C2 = W C W* = W T, by
+    # associativity, for T = C W*, verify_inverse's target.  Both are
     # hermitian: A* = A was checked when f was built and Ubar* = U^T, so
     # A2* = A2; C* = C (see _is_inverse), so C2* = C2.  So
     # _hermitian_product, which fills the entries below the diagonal by
@@ -551,10 +577,8 @@ def congruence(f, U):
     W = invert_matrix(ubar, k) if f.inverse is not None else None
     if W is None:
         return HermitianForm(k, A2, None, f.arf)
-    WC = mat_mul(W, f.inverse, k)
-    C2 = _hermitian_product(WC, _star(W), k)
-    # verify_inverse compares Ubar D with (W C)* = C W*, as C* = C
-    return _DerivedForm(k, A2, C2, f.arf, (ubar, _star(WC)))
+    T = mat_mul(f.inverse, _star(W), k)
+    return _DerivedForm(k, A2, _hermitian_product(W, T, k), f.arf, (ubar, T))
 
 
 def verify_isometry(f, g, U):

@@ -713,39 +713,90 @@ def test_mat_mul_skips_empty_operands(monkeypatch):
 
 
 def test_try_invert_checks_its_certificate_once(monkeypatch):
-    """try_invert attaches the inverse that invert_matrix checked: it
-    takes the kernel products of invert_matrix and no more, so the form
-    it returns takes no second product A C, and no involute, so no
-    second hermitian check.  Checked on a constant form, which takes the
-    lift, and on a transported one, which takes the elimination."""
+    """try_invert attaches the inverse that invert_matrix checked, and
+    checks it no second time.  The lift of a constant form (E8) is
+    checked once over Z, by _is_integer_inverse, with no kernel product
+    and no _is_inverse; a transported form is checked once by
+    elimination's _is_inverse, over Z not at all.  try_invert takes the
+    kernel products of invert_matrix and no more, so no second product
+    A C, and no involute, so no second hermitian check."""
     k = 3
-    forms = (HermitianForm(k, const_form(k, intlinalg.e8_matrix()).matrix),
+    e8 = intlinalg.e8_matrix()
+    forms = (HermitianForm(k, const_form(k, e8).matrix),
              HermitianForm(k, random_certificated(random.Random(95), k,
                                                   r=2).matrix))
-    checked, involuted = [], []
+    checked, over_z, involuted = [], [], []
     real_check, real_involute = hermform._is_inverse, GroupRingElt.involute
+    real_over_z = hermform._is_integer_inverse
 
     def check(A, C, k):
         checked.append(A)
         return real_check(A, C, k)
+
+    def check_over_z(M, X):
+        over_z.append(M)
+        return real_over_z(M, X)
 
     def involute(p):
         involuted.append(p)
         return real_involute(p)
 
     monkeypatch.setattr(hermform, "_is_inverse", check)
+    monkeypatch.setattr(hermform, "_is_integer_inverse", check_over_z)
     monkeypatch.setattr(GroupRingElt, "involute", involute)
     calls = _KernelCalls(monkeypatch)
-    for f in forms:
+    # per form, the matrices checked over the ring and over Z
+    for f, ring, integer in ((forms[0], [], [e8]),
+                             (forms[1], [forms[1].matrix], [])):
         C, want = calls.products(lambda: hermform.invert_matrix(f.matrix, k))
-        assert C is not None and want > 0 and checked == [f.matrix]
+        assert C is not None and checked == ring and over_z == integer
+        assert (want > 0) == bool(ring)
         checked.clear()
+        over_z.clear()
         involuted.clear()
         g, spent = calls.products(lambda: try_invert(f))
-        assert spent == want and checked == [f.matrix] and not involuted
+        assert spent == want and checked == ring and over_z == integer
+        assert not involuted
         assert g.matrix == f.matrix and g.inverse == C
         assert verify_inverse(f, g.inverse)
         checked.clear()
+        over_z.clear()
+
+
+def test_a_wrong_integer_inverse_is_refused(monkeypatch):
+    """The lift of a constant matrix is checked over Z: with an integer
+    inverse of E8 one entry off, invert_matrix finds none, try_invert
+    leaves bare E8 without a certificate and from_integer_matrix
+    attaches none."""
+    k = 3
+    e8 = intlinalg.e8_matrix()
+    wrong = intlinalg.unimodular_inverse(e8)
+    wrong[2][5] += 1
+    monkeypatch.setattr(intlinalg, "unimodular_inverse",
+                        lambda M: [list(row) for row in wrong])
+    bare = HermitianForm(k, hermform._constants(k, e8))
+    assert hermform.invert_matrix(bare.matrix, k) is None
+    assert try_invert(bare) is None
+    f = hermform.from_integer_matrix(k, e8)
+    assert f.matrix == bare.matrix and f.inverse is None
+
+
+def test_congruence_certificate_is_the_product_of_w_and_t():
+    """congruence multiplies out T = C W* and takes W T as the
+    certificate: entry for entry the (W C) W* of the product taken the
+    other way round, and T the (W C)* it compares with."""
+    rng = random.Random(98)
+    for k in (2, -3, 5):
+        for r, s in ((1, 0), (2, 0), (0, 1), (1, 1)):
+            f = hermform.even_reference_form(k, r, s)
+            U = random_unit_triangular(rng, k, f.rank, max_terms=1)
+            g = congruence(f, U)
+            W = hermform.invert_matrix(hermform.mat_involute(U), k)
+            WC = hermform.mat_mul(W, f.inverse, k)
+            assert g.inverse == hermform._hermitian_product(
+                WC, hermform._star(W), k)
+            assert g._check[1] == hermform._star(WC)
+            assert g._check[0] == hermform.mat_involute(U)
 
 
 def test_congruence_by_a_constant_unimodular_matrix_keeps_the_certificate():
@@ -1023,9 +1074,9 @@ def test_derived_forms_skip_the_hermitian_check(monkeypatch):
     assert len(count) == 10 * 11 // 2
     count.clear()
     congruence(s, U)
-    # involute(U), W* and (W C)*, and one mirror per entry below the
-    # diagonal of each of the two hermitian products
-    assert len(count) == 3 * 100 + 2 * (10 * 9 // 2)
+    # involute(U) and W*, and one mirror per entry below the diagonal of
+    # each of the two hermitian products
+    assert len(count) == 2 * 100 + 2 * (10 * 9 // 2)
 
 
 def test_orthogonal_sum_derives_its_certificate(monkeypatch):

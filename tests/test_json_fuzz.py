@@ -559,6 +559,32 @@ def test_writer_writes_form_documents_as_to_json(f):
         [d.to_json() for d in out], indent=2)
 
 
+def test_writer_writes_each_ring_element_once_per_indentation(monkeypatch):
+    # realize puts one form in every descriptor: the writer sorts the
+    # terms of an element once per call and indentation, and the text
+    # is still json.dumps's; a second call sorts them again
+    keyed = []
+    real = bsgroup.sort_key
+
+    def sort_key(g):
+        keyed.append(g)
+        return real(g)
+
+    monkeypatch.setattr(bsgroup, "sort_key", sort_key)
+    p = GroupRingElt(3, {(1, 0, 2): 4, (0, 0, 0): -1, (2, 1, -1): 7})
+    f = hermform.from_integer_matrix(3, [[1, 0], [0, -1]])
+    # the matrix and its inverse, two descriptors: one term each at
+    # (0, 0) and (1, 1) of two matrices, written once
+    docs = ({"a": [p, p, [p]], "b": p},
+            [d.to_json(cli._itself) for d in realize(3, f)])
+    for doc, written in zip(docs, (3 * 3, 2 * 2)):
+        want = json.dumps(json_twin(doc), indent=2)
+        for _ in range(2):
+            keyed.clear()
+            assert cli._dumps(doc) == want
+            assert len(keyed) == written
+
+
 @pytest.mark.parametrize("terms, message", [
     ({(3 * 10 ** 4400 + 1, 0, 0): 1}, "a group element of the result has a"
      " num of more than 4300 digits, the most the JSON readers accept"),

@@ -224,6 +224,28 @@ def test_constant_factor_skips_the_group_law():
             lines_run(_kernel.ring_addmul, {}, p, a, k))
 
 
+def test_constant_factor_copies_into_an_empty_accumulator():
+    # c 1 times q, on either side, into an empty out is one copy: the
+    # lines run do not grow with the terms of q, out ends as the loop
+    # leaves it, and it is a dict of its own, so changing it leaves q
+    k = 3
+    for c in CONSTANTS:
+        one = {(0, 0, 0): c}
+        lines = {0: set(), 1: set()}
+        for size in (1, 10, 200):
+            q = {element(n, 2, n % 5 - 2, k): n for n in range(1, size + 1)}
+            kept = dict(q)
+            for side, (p, r) in enumerate(((one, q), (q, one))):
+                lines[side].add(lines_run(_kernel.ring_addmul, {}, p, r, k))
+                got = _kernel.ring_addmul({}, p, r, k)
+                want = law_addmul({}, p, r, k)
+                assert list(got.items()) == list(want.items())
+                got.clear()
+                got[0, 0, 5] = 1
+                assert list(q.items()) == list(kept.items())
+        assert len(lines[0]) == len(lines[1]) == 1, (c, lines)
+
+
 def test_unit_k_products_cost_no_work_per_exponent():
     # For |k| <= 1 the twist k^t1 is a sign: a product of two monomials
     # runs the same few lines for every t1, where dividing by |k| = 1

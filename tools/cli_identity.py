@@ -3,10 +3,11 @@
     python3 tools/cli_identity.py OLD_SRC NEW_SRC
 
 Runs one fixed command set through bsfour.cli.main, in-process, once
-per tree, each tree in a subprocess of its own, and prints the first
-command whose exit code, stdout or stderr differ, or the number of
-commands that agree.  Exits 0 when every command agrees, 1 at the first
-difference and 2 when a subprocess fails.
+per tree, each tree in a subprocess of its own, then the certify
+benchmark workload's operations, and prints the first command whose
+exit code, stdout or stderr differ, or certify operation whose output
+differs, or the numbers of both that agree.  Exits 0 when everything
+agrees, 1 at the first difference and 2 when a subprocess fails.
 
 The command set:
 
@@ -25,7 +26,11 @@ The command set:
   and 2: form, form --pretty, form --try-invert, realize,
   realize --pretty and realize --try-invert;
 - each classify of that workload, with and without its --isometry,
-  with and without --pretty.
+  with and without --pretty;
+- every operation of the certify benchmark workload for seeds 1 and
+  2, which no command reaches: the SHA-256 digest of the transported
+  form's to_json() with its certificate, the verify_inverse verdict,
+  the parity, the signature and each descriptor's w2 and ks.
 
 Each subprocess writes the documents with its own tree, through
 layerbench/workloads.py (imported, never changed), into a fresh
@@ -130,6 +135,19 @@ def docs_commands(workloads, seed):
     return out
 
 
+def certify_outputs(workloads, seed):
+    """(name, digest) of the output of each certify operation of seed."""
+    out = []
+    for op in workloads.setup_certify(seed, "."):
+        g, verified, par, sig, descriptors = op.run()
+        doc = {"form": g.to_json(), "verified": verified,
+               "parity": par.value, "signature": sig,
+               "descriptors": [[d.w2.value, d.ks] for d in descriptors]}
+        out.append(("seed %d, %s" % (seed, op.name), hashlib.sha256(
+            json.dumps(doc).encode()).hexdigest()))
+    return out
+
+
 def digests(paths):
     out = {}
     for path in paths:
@@ -164,6 +182,10 @@ def child(src, workdir):
         emit.write(json.dumps({"argv": argv, "rc": rc, "stdout":
                                out.getvalue(), "stderr": err.getvalue()})
                    + "\n")
+    for seed in SEEDS:
+        for name, digest in certify_outputs(workloads, seed):
+            emit.write(json.dumps({"certify": name, "digest": digest})
+                       + "\n")
     emit.flush()
 
 
@@ -188,9 +210,15 @@ def compare(old_src, new_src, tmp):
              os.path.abspath(src), workdir],
             stdout=subprocess.PIPE, text=True))
     try:
-        count = 0
+        count = certified = 0
         for line_old, line_new in zip(procs[0].stdout, procs[1].stdout):
             old, new = json.loads(line_old), json.loads(line_new)
+            if "certify" in old:
+                if old != new:
+                    print("certify %s: the output differs" % old["certify"])
+                    return 1
+                certified += 1
+                continue
             if "documents" in old:
                 if old != new:
                     a, b = old["documents"], new["documents"]
@@ -218,7 +246,8 @@ def compare(old_src, new_src, tmp):
         if any(rest):
             print("the runs gave different numbers of commands")
             return 1
-        print("%d commands: exit code, stdout and stderr identical" % count)
+        print("%d commands: exit code, stdout and stderr identical;"
+              " %d certify outputs identical" % (count, certified))
         return 0
     finally:
         for p in procs:
