@@ -781,6 +781,21 @@ def test_a_wrong_integer_inverse_is_refused(monkeypatch):
     assert f.matrix == bare.matrix and f.inverse is None
 
 
+def test_from_integer_matrix_refuses_what_it_cannot_embed():
+    """A matrix that is not square fails in the Smith form, and a
+    unimodular one that is not symmetric fails the hermitian check,
+    although invert_matrix lifts its inverse; one that is not
+    unimodular is embedded without a certificate."""
+    k = 2
+    with pytest.raises(ValueError, match="square matrix required"):
+        hermform.from_integer_matrix(k, [[1, 0]])
+    with pytest.raises(SchemaError, match=r"not hermitian at \(0, 1\)"):
+        hermform.from_integer_matrix(k, [[0, 1], [-1, 0]])
+    f = hermform.from_integer_matrix(k, [[2, 1], [1, 2]])
+    assert f.inverse is None and f.arf == hermform.ArfTag(
+        hermform.ARF_EXTENDED, 0)
+
+
 def test_congruence_certificate_is_the_product_of_w_and_t():
     """congruence multiplies out T = C W* and takes W T as the
     certificate: entry for entry the (W C) W* of the product taken the
