@@ -13,12 +13,12 @@ constants, otherwise Gauss-Jordan elimination with trivial-unit pivots
 +-g, then one check; sound, not complete, and never failing on a unit
 triangular matrix.  try_invert, congruence and isometry_inverse all
 call it, and a form that try_invert certifies is not checked again.
-The check of a lifted integer inverse is the integer product, which is
-the same check: the entrywise embedding of Z in Z[B(k)] is an
-injective ring map.  from_integer_matrix takes its certificate from
-invert_matrix; hyperbolic attaches its known inverse, which its
-constructor checks.  A product is compared with its target entry by
-entry, as it is summed.
+The check of a lifted integer inverse is the integer product inside
+intlinalg.unimodular_inverse, which is the same check: the entrywise
+embedding of Z in Z[B(k)] is an injective ring map.
+from_integer_matrix takes its certificate from invert_matrix;
+hyperbolic attaches its known inverse, which its constructor checks.
+A product is compared with its target entry by entry, as it is summed.
 verify_isometry builds no inverse: the isometry equation proves the
 isometry invertible.  congruence and orthogonal_sum derive their
 matrices and certificates from checked parts instead of checking them
@@ -403,38 +403,25 @@ def invert_matrix(mat, k):
     """Invert a square matrix over the group ring: a matrix of integer
     constants by lifting its integer inverse, any other by _eliminate.
     Sound but not complete: returns an inverse checked once, by exact
-    multiplication, or None.  The check is M X = 1: over Z by
-    _is_integer_inverse for a constant matrix, which is the same check
-    (the proof is below), and by _is_inverse otherwise.  It never fails
-    on a unit triangular matrix, and congruence relies on that to
-    transport certificates."""
+    multiplication, or None.  The check is M X = 1: over Z, inside
+    intlinalg.unimodular_inverse, for a constant matrix, which is the
+    same check (the proof is below), and by _is_inverse otherwise.  It
+    never fails on a unit triangular matrix, and congruence relies on
+    that to transport certificates."""
     if _is_constant(mat):
         # The augmentation is the identity on constants, so mat is the
         # entrywise lift of the integer matrix M.  The lift Z -> Z[B(k)]
         # is an injective ring map, so the product of two lifts is the
-        # lift of the integer product, and it is 1 exactly when M X = 1:
-        # checking over Z is checking over the group ring.  The lifted
-        # inverse holds even where the +-g pivots of _eliminate get
-        # stuck, as on E8.  A unit triangular matrix of constants has
-        # determinant 1.
+        # lift of the integer product, and it is 1 exactly when M X = 1,
+        # which unimodular_inverse checks before it returns X: checking
+        # over Z is checking over the group ring.  The lifted inverse
+        # holds even where the +-g pivots of _eliminate get stuck, as on
+        # E8.  A unit triangular matrix of constants has determinant 1.
         M = [[p.augment() for p in row] for row in mat]
         X = intlinalg.unimodular_inverse(M)
-        if X is None or not _is_integer_inverse(M, X):
-            return None
-        return _constants(k, X)
+        return None if X is None else _constants(k, X)
     X = _eliminate(mat, k)
     return X if X is not None and _is_inverse(mat, X, k) else None
-
-
-def _is_integer_inverse(M, X):
-    """True iff X is the inverse of the square integer matrix M: the
-    shape first, then M X = 1 entry by entry (X M = 1 follows over Z,
-    as over any commutative ring)."""
-    if not _is_square(X, len(M)):
-        return False
-    cols = list(zip(*X))
-    return all(sum(a * x for a, x in zip(row, col)) == (i == j)
-               for i, row in enumerate(M) for j, col in enumerate(cols))
 
 
 def _eliminate(mat, k):

@@ -3,14 +3,17 @@ finitely generated abelian groups, homology of short complexes, and
 signatures of symmetric matrices.
 
 The Smith form is the elimination for homology over Z and Z/p,
-unimodularity and integer inverses; `signature` has its own
-fraction-free congruence elimination.  Everything stays in
-arbitrary-precision integers, never rationals or floating point.
-Matrices are plain lists of rows.
+unimodularity and integer inverses: one loop that reaches the divisor
+chain by itself.  An integer inverse is returned only after a product
+by `_mat_mul`, the one integer matrix product, has checked it.
+`signature` has its own fraction-free congruence elimination.
+Everything stays in arbitrary-precision integers, never rationals or
+floating point.  Matrices are plain lists of rows.
 """
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ChainComplexError
 
@@ -22,9 +25,8 @@ def _identity(n):
 def _mat_mul(A, B):
     if not A or not B:
         return []
-    w = len(B[0])
-    return [[sum(row[p] * B[p][j] for p in range(len(B))) for j in range(w)]
-            for row in A]
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def _swap_cols(M, i, j):
@@ -34,7 +36,17 @@ def _swap_cols(M, i, j):
 
 def smith_normal_form(A):
     """U, D, V with U A V = D diagonal, U and V unimodular, the diagonal
-    non-negative and each entry dividing the next."""
+    non-negative and each entry dividing the next.
+
+    One elimination loop: the smallest nonzero entry left is the pivot
+    p at (i, i) and clears its row and column by division with
+    remainder; a remainder is a smaller pivot.  Once row and column are
+    clear, a row below that holds an entry p does not divide is added
+    to row i, so the next pass finds a remainder, hence a smaller
+    pivot.  The pivot that passes both divides everything below and to
+    the right, and so every later pivot: the divisor chain comes out
+    of the loop (H. Cohen, A Course in Computational Algebraic Number
+    Theory, GTM 138, 2.4)."""
     m = len(A)
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
@@ -42,15 +54,7 @@ def smith_normal_form(A):
     D = [list(row) for row in A]
     U = _identity(m)
     V = _identity(n)
-    _diagonalize(D, U, V, 0)
-    _fix_divisor_chain(D, U, V)
-    return U, D, V
-
-
-def _diagonalize(D, U, V, start):
-    m = len(D)
-    n = len(D[0]) if m else 0
-    for i in range(start, min(m, n)):
+    for i in range(min(m, n)):
         while True:
             best = None
             for r in range(i, m):
@@ -60,7 +64,7 @@ def _diagonalize(D, U, V, start):
                               or abs(v) < abs(D[best[0]][best[1]])):
                         best = (r, c)
             if best is None:
-                return
+                return U, D, V
             r, c = best
             if r != i:
                 D[i], D[r] = D[r], D[i]
@@ -89,27 +93,17 @@ def _diagonalize(D, U, V, start):
                         row[c] -= q * row[i]
                 if D[i][c]:
                     clean = False
+            if clean and p > 1:
+                # 1 divides every entry, so a unit pivot skips the scan
+                r = next((r for r in range(i + 1, m)
+                          if any(x % p for x in D[r][i + 1:])), None)
+                if r is not None:
+                    D[i] = [x + y for x, y in zip(D[i], D[r])]
+                    U[i] = [x + y for x, y in zip(U[i], U[r])]
+                    clean = False
             if clean:
                 break
-
-
-def _fix_divisor_chain(D, U, V):
-    m = len(D)
-    n = len(D[0]) if m else 0
-    r = min(m, n)
-    while True:
-        for i in range(r - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if a and b % a:
-                # fold column i+1 into column i and re-eliminate
-                for row in D:
-                    row[i] += row[i + 1]
-                for row in V:
-                    row[i] += row[i + 1]
-                _diagonalize(D, U, V, i)
-                break
-        else:
-            return
+    return U, D, V
 
 
 def invariant_factors(A):
@@ -121,17 +115,22 @@ def invariant_factors(A):
 
 
 def unimodular_inverse(A):
-    """Integer inverse of a square matrix, or None when its determinant
-    is not +-1.  The 0 x 0 matrix is unimodular with inverse []."""
+    """Integer inverse of a square matrix, checked by one product, or
+    None when its determinant is not +-1.  The 0 x 0 matrix is
+    unimodular with inverse []."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("square matrix required")
     U, D, V = smith_normal_form(A)
-    if D != _identity(n):
+    one = _identity(n)
+    if D != one:
         return None
     # U A V = 1 gives A = U^-1 V^-1, hence A^-1 = V U.  Any other D has
-    # determinant 0 or at least 2, and det A = +-det D.
-    return _mat_mul(V, U)
+    # determinant 0 or at least 2, and det A = +-det D.  X is returned
+    # only once A X = 1 is checked (X A = 1 follows over Z, as over any
+    # commutative ring), so it trusts nothing of U and V.
+    X = _mat_mul(V, U)
+    return X if _mat_mul(A, X) == one else None
 
 
 def signature(S):
@@ -272,13 +271,20 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def homology_of_complex(d2, d1, modulus=0):
     """Homology [H0, H1, H2] of the length-2 complex of row vectors
 
         Z^n2 --d2--> Z^n1 --d1--> Z^n0
 
-    (coefficients Z/modulus when a positive prime modulus is given).
-    d2 may be empty; d1 must have at least one row and column."""
+    (coefficients Z/modulus when the modulus is a prime; 0 means Z,
+    and any other modulus raises ValueError).  d2 may be empty; d1 must
+    have at least one row and column."""
+    if modulus and not _is_prime(modulus):
+        raise ValueError("modulus must be 0 or a prime")
     if not d1 or not d1[0]:
         raise ValueError("d1 must be nonempty")
     n1, n0 = len(d1), len(d1[0])

@@ -715,11 +715,13 @@ def test_mat_mul_skips_empty_operands(monkeypatch):
 def test_try_invert_checks_its_certificate_once(monkeypatch):
     """try_invert attaches the inverse that invert_matrix checked, and
     checks it no second time.  The lift of a constant form (E8) is
-    checked once over Z, by _is_integer_inverse, with no kernel product
-    and no _is_inverse; a transported form is checked once by
-    elimination's _is_inverse, over Z not at all.  try_invert takes the
-    kernel products of invert_matrix and no more, so no second product
-    A C, and no involute, so no second hermitian check."""
+    checked once, by the integer product E8 X inside
+    intlinalg.unimodular_inverse, with no kernel product and no
+    _is_inverse; a transported form is checked once by elimination's
+    _is_inverse, and its augmentation once over Z by try_invert's
+    screen.  try_invert takes the kernel products of invert_matrix and
+    no more, so no second product A C, and no involute, so no second
+    hermitian check."""
     k = 3
     e8 = intlinalg.e8_matrix()
     forms = (HermitianForm(k, const_form(k, e8).matrix),
@@ -727,35 +729,42 @@ def test_try_invert_checks_its_certificate_once(monkeypatch):
                                                   r=2).matrix))
     checked, over_z, involuted = [], [], []
     real_check, real_involute = hermform._is_inverse, GroupRingElt.involute
-    real_over_z = hermform._is_integer_inverse
+    real_mat_mul = intlinalg._mat_mul
 
     def check(A, C, k):
         checked.append(A)
         return real_check(A, C, k)
 
-    def check_over_z(M, X):
-        over_z.append(M)
-        return real_over_z(M, X)
+    def mat_mul_over_z(A, B):
+        over_z.append(A)
+        return real_mat_mul(A, B)
 
     def involute(p):
         involuted.append(p)
         return real_involute(p)
 
     monkeypatch.setattr(hermform, "_is_inverse", check)
-    monkeypatch.setattr(hermform, "_is_integer_inverse", check_over_z)
+    monkeypatch.setattr(intlinalg, "_mat_mul", mat_mul_over_z)
     monkeypatch.setattr(GroupRingElt, "involute", involute)
     calls = _KernelCalls(monkeypatch)
-    # per form, the matrices checked over the ring and over Z
-    for f, ring, integer in ((forms[0], [], [e8]),
-                             (forms[1], [forms[1].matrix], [])):
+    aug = hermform.augment_form(forms[1])
+    # per form, the matrices checked over the ring, and the left factors
+    # equal to the augmentation of integer products in invert_matrix
+    # and in try_invert
+    for f, ring, integer, screen in ((forms[0], [], [e8], [e8]),
+                                     (forms[1], [forms[1].matrix], [],
+                                      [aug])):
+        M = hermform.augment_form(f)
         C, want = calls.products(lambda: hermform.invert_matrix(f.matrix, k))
-        assert C is not None and checked == ring and over_z == integer
+        assert C is not None and checked == ring
+        assert [A for A in over_z if A == M] == integer
         assert (want > 0) == bool(ring)
         checked.clear()
         over_z.clear()
         involuted.clear()
         g, spent = calls.products(lambda: try_invert(f))
-        assert spent == want and checked == ring and over_z == integer
+        assert spent == want and checked == ring
+        assert [A for A in over_z if A == M] == screen
         assert not involuted
         assert g.matrix == f.matrix and g.inverse == C
         assert verify_inverse(f, g.inverse)
@@ -764,16 +773,21 @@ def test_try_invert_checks_its_certificate_once(monkeypatch):
 
 
 def test_a_wrong_integer_inverse_is_refused(monkeypatch):
-    """The lift of a constant matrix is checked over Z: with an integer
-    inverse of E8 one entry off, invert_matrix finds none, try_invert
-    leaves bare E8 without a certificate and from_integer_matrix
-    attaches none."""
+    """unimodular_inverse checks V U against the matrix before it
+    returns it: with a Smith form whose V is one entry off, it finds no
+    inverse of E8, invert_matrix none either, try_invert leaves bare E8
+    without a certificate and from_integer_matrix attaches none."""
     k = 3
     e8 = intlinalg.e8_matrix()
-    wrong = intlinalg.unimodular_inverse(e8)
-    wrong[2][5] += 1
-    monkeypatch.setattr(intlinalg, "unimodular_inverse",
-                        lambda M: [list(row) for row in wrong])
+    real = intlinalg.smith_normal_form
+
+    def wrong_v(A):
+        U, D, V = real(A)
+        V[2][5] += 1
+        return U, D, V
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", wrong_v)
+    assert intlinalg.unimodular_inverse(e8) is None
     bare = HermitianForm(k, hermform._constants(k, e8))
     assert hermform.invert_matrix(bare.matrix, k) is None
     assert try_invert(bare) is None

@@ -100,6 +100,24 @@ def test_snf_frozen_examples():
     assert intlinalg.invariant_factors([]) == []
 
 
+@pytest.mark.parametrize("diagonal, chain", [((2, 3), (1, 6)),
+                                              ((6, 10, 15), (1, 30, 30))])
+def test_snf_reaches_the_divisor_chain_in_the_loop(diagonal, chain):
+    """Diagonal matrices that are no divisor chain: every pivot clears
+    its row and column at once, so only the divisibility step, which
+    adds a row with an entry the pivot does not divide, makes the
+    chain (determinantal divisors: gcd(6, 10, 15) = 1 and
+    gcd(60, 90, 150) = 30)."""
+    n = len(diagonal)
+    A = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    U, D, V = intlinalg.smith_normal_form(A)
+    assert D == [[chain[i] if i == j else 0 for j in range(n)]
+                 for i in range(n)]
+    assert mat_mul(mat_mul(U, A), V) == D
+    assert abs(frac_det(U)) == 1 and abs(frac_det(V)) == 1
+    assert intlinalg.invariant_factors(A) == list(chain)
+
+
 def test_snf_properties_random():
     rng = random.Random(71)
     for trial in range(60):
@@ -164,6 +182,15 @@ def test_homology_mod2():
     assert H == [AbelianGroup.elementary(2, 1),
                  AbelianGroup.elementary(2, 2),
                  AbelianGroup.elementary(2, 1)]
+
+
+@pytest.mark.parametrize("modulus", [4, -2, 1, 91])
+def test_homology_refuses_a_modulus_that_is_not_prime(modulus):
+    """Z/p ranks of the invariant factors give the homology over Z/p
+    only for a prime p: mod 4 the complex below has H1 = Z/4 + Z/2 and
+    H2 = Z/2, which they would miss.  -2 is not read as 2."""
+    with pytest.raises(ValueError, match="modulus must be 0 or a prime"):
+        intlinalg.homology_of_complex([[0, 2]], [[0], [0]], modulus)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -4,9 +4,10 @@
 
 Runs one fixed command set through bsfour.cli.main, in-process, once
 per tree, each tree in a subprocess of its own, then the certify
-benchmark workload's operations, and prints the first command whose
-exit code, stdout or stderr differ, or certify operation whose output
-differs, or the numbers of both that agree.  Exits 0 when everything
+benchmark workload's operations and the integer layer, and prints the
+first command whose exit code, stdout or stderr differ, or certify
+operation or integer matrix whose output differs, or the numbers of
+each that agree.  Exits 0 when everything
 agrees, 1 at the first difference and 2 when a subprocess fails.
 
 The command set:
@@ -30,7 +31,14 @@ The command set:
 - every operation of the certify benchmark workload for seeds 1 and
   2, which no command reaches: the SHA-256 digest of the transported
   form's to_json() with its certificate, the verify_inverse verdict,
-  the parity, the signature and each descriptor's w2 and ks.
+  the parity, the signature and each descriptor's w2 and ks;
+- the integer layer, on a fixed set of matrices drawn with a seeded
+  random.Random: square and non-square, singular, unimodular and
+  symmetric ones, E8 and the Gram matrices of H^r.  For each,
+  intlinalg's Smith form D, invariant_factors, unimodular_inverse and
+  signature (or the error each raises) must be identical across the
+  trees; U and V of the Smith form are not unique, so inside each tree
+  U A V = D is checked instead, by a product of the tool's own.
 
 Each subprocess writes the documents with its own tree, through
 layerbench/workloads.py (imported, never changed), into a fresh
@@ -44,6 +52,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -148,6 +157,70 @@ def certify_outputs(workloads, seed):
     return out
 
 
+def product(A, B):
+    """The integer matrix product, independent of either tree."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def integer_matrices(e8):
+    """(name, matrix) of the fixed integer set: e8, the Gram matrices of
+    H, H^2 and H^3, and 40 seeded draws of each other kind."""
+    rng = random.Random(29)
+
+    def draw(m, n, lo=-9, hi=9):
+        return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+    def unimodular(n):
+        T = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-3, 3)
+            T[i] = [x + c * y for x, y in zip(T[i], T[j])]
+        return T
+
+    out = [("E8", e8)]
+    out += [("H^%d" % r, [[int(i ^ 1 == j) for j in range(2 * r)]
+                          for i in range(2 * r)]) for r in (1, 2, 3)]
+    for t in range(40):
+        m, n, s = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        r = rng.randint(1, min(m, n))
+        S = draw(s, s, -5, 5)
+        out += [("random %d" % t, draw(m, n)),
+                ("rank %d, %d" % (r, t), product(draw(m, r, -4, 4),
+                                                 draw(r, n, -4, 4))),
+                ("singular %d" % t, product(draw(s, s - 1, -3, 3),
+                                            draw(s - 1, s, -3, 3))
+                 if s > 1 else [[0]]),
+                ("unimodular %d" % t, unimodular(s)),
+                ("symmetric %d" % t, [[S[i][j] + S[j][i] for j in range(s)]
+                                      for i in range(s)])]
+    return out
+
+
+def integer_outputs():
+    """One record per matrix of the integer set: the Smith form D,
+    invariant_factors, unimodular_inverse and signature, an error as
+    its message, and whether U A V = D."""
+    from bsfour import intlinalg
+
+    def outcome(fn, A):
+        try:
+            return fn(A)
+        except ValueError as exc:
+            return "ValueError: %s" % exc
+
+    out = []
+    for name, A in integer_matrices(intlinalg.e8_matrix()):
+        U, D, V = intlinalg.smith_normal_form(A)
+        out.append({"integer": name, "D": D,
+                    "invariant_factors": intlinalg.invariant_factors(A),
+                    "inverse": outcome(intlinalg.unimodular_inverse, A),
+                    "signature": outcome(intlinalg.signature, A),
+                    "uav": product(product(U, A), V) == D})
+    return out
+
+
 def digests(paths):
     out = {}
     for path in paths:
@@ -186,6 +259,8 @@ def child(src, workdir):
         for name, digest in certify_outputs(workloads, seed):
             emit.write(json.dumps({"certify": name, "digest": digest})
                        + "\n")
+    for record in integer_outputs():
+        emit.write(json.dumps(record) + "\n")
     emit.flush()
 
 
@@ -210,9 +285,22 @@ def compare(old_src, new_src, tmp):
              os.path.abspath(src), workdir],
             stdout=subprocess.PIPE, text=True))
     try:
-        count = certified = 0
+        count = certified = integers = 0
         for line_old, line_new in zip(procs[0].stdout, procs[1].stdout):
             old, new = json.loads(line_old), json.loads(line_new)
+            if "integer" in old:
+                for side, record in (("old", old), ("new", new)):
+                    if not record["uav"]:
+                        print("integer %s: U A V is not D in the %s tree"
+                              % (record["integer"], side))
+                        return 1
+                if old != new:
+                    key = next(key for key in old if old[key] != new.get(key))
+                    print("integer %s: %s differs\n  old: %r\n  new: %r"
+                          % (old["integer"], key, old[key], new.get(key)))
+                    return 1
+                integers += 1
+                continue
             if "certify" in old:
                 if old != new:
                     print("certify %s: the output differs" % old["certify"])
@@ -248,6 +336,9 @@ def compare(old_src, new_src, tmp):
             return 1
         print("%d commands: exit code, stdout and stderr identical;"
               " %d certify outputs identical" % (count, certified))
+        print("%d integer matrices: Smith form D, invariant factors,"
+              " unimodular inverse and signature identical; U A V = D in"
+              " both trees" % integers)
         return 0
     finally:
         for p in procs:
