@@ -11,8 +11,9 @@ is at _is_inverse).  Every inverse that is searched for comes from
 invert_matrix: the lifted integer inverse for a matrix of integer
 constants, otherwise Gauss-Jordan elimination with trivial-unit pivots
 +-g, then one check; sound, not complete, and never failing on a unit
-triangular matrix.  try_invert, congruence and isometry_inverse all
-call it, and a form that try_invert certifies is not checked again.
+triangular matrix.  try_invert and isometry_inverse call it, congruence
+for a U that is not unit triangular, and a form that try_invert
+certifies is not checked again.
 The check of a lifted integer inverse is the integer product inside
 intlinalg.unimodular_inverse, which is the same check: the entrywise
 embedding of Z in Z[B(k)] is an injective ring map.
@@ -24,9 +25,11 @@ isometry invertible.  congruence and orthogonal_sum derive their
 matrices and certificates from checked parts instead of checking them
 again, and congruence fills the lower half of each hermitian product
 by the involution.  A form transported by U from one with certificate
-Cf is checked by one product: Ubar C = Cf W*, for Ubar = involute(U)
-and the checked W = Ubar^-1; congruence multiplies out T = Cf W* once,
-as that target and as the right factor of its certificate C2 = W T.
+Cf is checked by one product: Ubar C = T, for Ubar = involute(U),
+T = Cf W* and W = Ubar^-1.  For a unit triangular U, congruence solves
+T U^T = Cf and Ubar C2 = T by substitution with the sparse U, and
+builds no W; for any other U, it multiplies out T with invert_matrix's
+W, as that target and as the right factor of the certificate W T.
 The proofs are at each function.  Forms are read-only, so a
 certificate once checked stays attached to its matrix, and a
 transported form to its factors.  Parity reads the identity
@@ -406,8 +409,8 @@ def invert_matrix(mat, k):
     multiplication, or None.  The check is M X = 1: over Z, inside
     intlinalg.unimodular_inverse, for a constant matrix, which is the
     same check (the proof is below), and by _is_inverse otherwise.  It
-    never fails on a unit triangular matrix, and congruence relies on
-    that to transport certificates."""
+    never fails on a unit triangular matrix, though congruence solves by
+    substitution there and does not call it."""
     if _is_constant(mat):
         # The augmentation is the identity on constants, so mat is the
         # entrywise lift of the integer matrix M.  The lift Z -> Z[B(k)]
@@ -534,12 +537,13 @@ class _DerivedForm(HermitianForm):
 
 def congruence(f, U):
     """The form U^T A involute(U).  When f has a certificate C and
-    invert_matrix finds W = involute(U)^-1, the form gets W T, for
-    T = C W* multiplied out once, and keeps involute(U) and T for
-    verify_inverse; otherwise it is a plain form without a certificate.
-    Both W T and the matrix are hermitian: only the entries on and above
-    the diagonal are multiplied out, the rest are filled by the
-    involution.  U must be square of matching rank."""
+    W = involute(U)^-1 is known, the form gets W T, for T = C W*, and
+    keeps involute(U) and T for verify_inverse; otherwise it is a plain
+    form without a certificate.  A unit triangular U gets T and W T by
+    substitution, any other W from invert_matrix.  Both W T and the
+    matrix are hermitian: only the entries on and above the diagonal
+    are worked out, the rest are filled by the involution.  U must be
+    square of matching rank."""
     if not isinstance(f, HermitianForm):
         raise TypeError("congruence takes a HermitianForm")
     U = _freeze(U)
@@ -556,16 +560,66 @@ def congruence(f, U):
     # _hermitian_product, which fills the entries below the diagonal by
     # the involution, gives them exactly.  C2 needs no product with A2:
     # A C = 1 was checked or derived when f was built (forms are
-    # read-only), and invert_matrix checked Ubar W = 1, so W Ubar = 1
-    # (see _is_inverse) and
+    # read-only), and W Ubar = 1 (see _is_inverse), so
     #   A2 C2 = U^T A (Ubar W) C W* = U^T (A C) W* = U^T W* = (W Ubar)* = 1.
+    # That needs only that W exists, and a unit triangular U, like Ubar,
+    # is invertible.  Then _substitute solves T U^T = C and Ubar C2 = T,
+    # as W* = (U^T)^-1, and no W is built.  For any other U, W comes
+    # from invert_matrix, which checked Ubar W = 1.
     ubar = mat_involute(U)
     A2 = _hermitian_product(mat_mul(mat_transpose(U), f.matrix, k), ubar, k)
-    W = invert_matrix(ubar, k) if f.inverse is not None else None
-    if W is None:
+    if f.inverse is None:
         return HermitianForm(k, A2, None, f.arf)
-    T = mat_mul(f.inverse, _star(W), k)
-    return _DerivedForm(k, A2, _hermitian_product(W, T, k), f.arf, (ubar, T))
+    solved = _substitute(f.inverse, U, ubar, k)
+    if solved is None:
+        W = invert_matrix(ubar, k)
+        if W is None:
+            return HermitianForm(k, A2, None, f.arf)
+        T = mat_mul(f.inverse, _star(W), k)
+        solved = T, _hermitian_product(W, T, k)
+    return _DerivedForm(k, A2, solved[1], f.arf, (ubar, solved[0]))
+
+
+def _substitute(C, U, ubar, k):
+    """(T, C2) with T U^T = C and the hermitian C2 with ubar C2 = T, by
+    substitution, if U is unit triangular; otherwise None."""
+    # The off-diagonal entries of row j of U, and of ubar, lie at indices
+    # p that come before j in order, and U[j][j] = 1, so T[i][j] = C[i][j]
+    # - sum T[i][p] U[j][p] and C2[i][j] = T[i][j] - sum ubar[i][p] C2[p][j]:
+    # each unknown has coefficient 1 in its own equation, after the ones
+    # it needs, and both equations hold by construction.  C2 is hermitian
+    # (see congruence): row i is solved right to left from the diagonal,
+    # and each entry below is filled with the involute of its mirror.
+    # The C2[p][j] that row i needs, j >= i, were solved in row p, or are
+    # mirrors of entries of rows j between i and p, or of row i right of j.
+    n = len(U)
+    upper = not any(U[i][j].terms for i in range(n) for j in range(i))
+    if any(U[i][i].terms != _ONE for i in range(n)) or not upper and any(
+            U[j][i].terms for i in range(n) for j in range(i)):
+        return None
+    order = range(n - 1, -1, -1) if upper else range(n)
+    neg = [[[(p, {g: -c for g, c in x.terms.items()})
+             for p, x in enumerate(row) if x.terms and p != i]
+            for i, row in enumerate(M)] for M in (U, ubar)]
+    T = [[None] * n for _ in range(n)]
+    C2 = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in order:
+            acc = dict(C[i][j].terms)
+            for p, u in neg[0][j]:
+                if T[i][p].terms:
+                    _kernel.ring_addmul(acc, T[i][p].terms, u, k)
+            T[i][j] = GroupRingElt._raw(k, acc)
+    for i in order:
+        for j in range(n - 1, i - 1, -1):
+            acc = dict(T[i][j].terms)
+            for p, u in neg[1][i]:
+                if C2[p][j].terms:
+                    _kernel.ring_addmul(acc, u, C2[p][j].terms, k)
+            C2[i][j] = GroupRingElt._raw(k, acc)
+            if j > i:
+                C2[j][i] = C2[i][j].involute()
+    return _freeze(T), _freeze(C2)
 
 
 def verify_isometry(f, g, U):
@@ -603,8 +657,11 @@ def isometry_inverse(U, k):
 
 
 def even_reference_form(k, hyperbolics=1, e8_blocks=0):
-    """H^r orthogonal-sum E8^s: the even certificated building blocks."""
+    """H^r orthogonal-sum E8^s: the even certificated building blocks.
+    The E8 form is built once and summed s times (forms are read-only)."""
     f = hyperbolic(k, hyperbolics)
-    for _ in range(e8_blocks):
-        f = orthogonal_sum(f, from_integer_matrix(k, intlinalg.e8_matrix()))
+    if e8_blocks:
+        e8 = from_integer_matrix(k, intlinalg.e8_matrix())
+        for _ in range(e8_blocks):
+            f = orthogonal_sum(f, e8)
     return f

@@ -505,10 +505,16 @@ def test_arf_tag_validation():
 def test_congruence_rejects_wrong_triangular_inverse(monkeypatch):
     """One wrong update inside the elimination is caught by its final
     check M W = 1: congruence attaches no certificate and
-    isometry_inverse raises."""
+    isometry_inverse raises.  U is triangular with one diagonal entry
+    -1, so not unit triangular, and congruence takes invert_matrix."""
     k = 2
     f = hermform.even_reference_form(k, hyperbolics=2)
-    U = random_unit_triangular(random.Random(80), k, f.rank, max_terms=1)
+    U = [list(row) for row in random_unit_triangular(
+        random.Random(80), k, f.rank, max_terms=1)]
+    # the last pivot, so the elimination's updates come before it
+    U[-1][-1] = -one(k)
+    assert hermform._substitute(
+        f.inverse, U, hermform.mat_involute(U), k) is None
     assert congruence(f, U).inverse is not None
     real_invert, real_check = hermform.invert_matrix, hermform._is_inverse
     real_addmul = _kernel.ring_addmul
@@ -1028,27 +1034,72 @@ def test_verify_inverse_agrees_on_random_transports(k, shape, times, rng,
         assert want is (how == "kept")
 
 
-@pytest.mark.parametrize("k", [2, -3])
+@pytest.mark.parametrize("k", [2, -3, 0, 1, -1])
 @pytest.mark.parametrize("r, e8", [(1, 0), (2, 0), (3, 0), (0, 1), (1, 1)])
 def test_congruence_is_the_full_products(k, r, e8):
-    """On every shape of the certify benchmark workload, the transported
-    matrix is (U^T A) Ubar and its certificate (W C) W*, entry for
-    entry, though congruence multiplies out only the entries on and
-    above the diagonal of each."""
+    """On every shape of the certify benchmark workload, by a unit upper
+    and a unit lower triangular U, the transported matrix is (U^T A) Ubar
+    and its certificate (W C) W*, entry for entry, though congruence
+    works out only the entries on and above the diagonal of each."""
     rng = random.Random("congruence %d %d %d" % (k, r, e8))
     f = hermform.even_reference_form(k, r, e8)
-    U = random_unit_triangular(rng, k, f.rank)
-    g = congruence(f, U)
+    upper = random_unit_triangular(rng, k, f.rank)
     mul = hermform.mat_mul
-    ubar = hermform.mat_involute(U)
-    W = hermform.invert_matrix(ubar, k)
-    A2 = mul(mul(hermform.mat_transpose(U), f.matrix, k), ubar, k)
-    C2 = mul(mul(W, f.inverse, k), hermform._star(W), k)
     n = f.rank
-    for i in range(n):
-        for j in range(n):
-            assert g.matrix[i][j] == A2[i][j], (i, j)
-            assert g.inverse[i][j] == C2[i][j], (i, j)
+    for U in (upper, hermform.mat_transpose(upper)):
+        g = congruence(f, U)
+        ubar = hermform.mat_involute(U)
+        W = hermform.invert_matrix(ubar, k)
+        A2 = mul(mul(hermform.mat_transpose(U), f.matrix, k), ubar, k)
+        C2 = mul(mul(W, f.inverse, k), hermform._star(W), k)
+        for i in range(n):
+            for j in range(n):
+                assert g.matrix[i][j] == A2[i][j], (i, j)
+                assert g.inverse[i][j] == C2[i][j], (i, j)
+
+
+def test_unit_triangular_transport_builds_no_inverse(monkeypatch):
+    """congruence by a unit upper or lower triangular U never calls
+    invert_matrix: T and C2 solve T U^T = C_f and Ubar C2 = T, which the
+    tests' own products confirm, with A2 C2 = 1.  A U that is not unit
+    triangular calls invert_matrix once."""
+    calls = []
+    real = hermform.invert_matrix
+
+    def invert(M, k):
+        calls.append(M)
+        return real(M, k)
+
+    monkeypatch.setattr(hermform, "invert_matrix", invert)
+    rng = random.Random(92)
+    for k in (2, -3, 0, 1):
+        for r, e8 in ((1, 0), (2, 0), (0, 1)):
+            f = hermform.even_reference_form(k, r, e8)
+            n = f.rank
+            U = random_unit_triangular(rng, k, n)
+            for V in (U, hermform.mat_transpose(U), identity(k, n)):
+                calls.clear()
+                g = congruence(f, V)
+                assert calls == []
+                ubar, T = g._check
+                Vt = hermform.mat_transpose(V)
+                assert ubar == hermform.mat_involute(V)
+                assert mat_product(T, Vt, k) == f.inverse
+                assert mat_product(ubar, g.inverse, k) == T
+                assert mat_product(g.matrix, g.inverse, k) == identity(k, n)
+            # U times a diagonal with one -1, for elimination, and a
+            # constant unimodular U, for the lift: neither is unit
+            # triangular
+            D = [list(row) for row in identity(k, n)]
+            D[0][0] = -one(k)
+            M = [[0] * n for _ in range(n)]
+            for i in range(0, n, 2):
+                M[i][i:i + 2], M[i + 1][i:i + 2] = [2, 5], [3, 8]
+            for V in (hermform.mat_mul(U, D, k), hermform._constants(k, M)):
+                calls.clear()
+                g = congruence(f, V)
+                assert calls == [hermform.mat_involute(V)]
+                assert mat_product(g.matrix, g.inverse, k) == identity(k, n)
 
 
 def test_verify_inverse_takes_one_product_with_ubar(monkeypatch):
@@ -1103,9 +1154,9 @@ def test_derived_forms_skip_the_hermitian_check(monkeypatch):
     assert len(count) == 10 * 11 // 2
     count.clear()
     congruence(s, U)
-    # involute(U) and W*, and one mirror per entry below the diagonal of
-    # each of the two hermitian products
-    assert len(count) == 2 * 100 + 2 * (10 * 9 // 2)
+    # involute(U), and one mirror per entry below the diagonal of the
+    # matrix and of the certificate: the substitution builds no W*
+    assert len(count) == 100 + 2 * (10 * 9 // 2)
 
 
 def test_orthogonal_sum_derives_its_certificate(monkeypatch):
@@ -1130,6 +1181,27 @@ def test_orthogonal_sum_derives_its_certificate(monkeypatch):
                 assert M[i][j] == want, (i, j)
     assert hermform._is_inverse(s.matrix, s.inverse, k)
     assert verify_inverse(s, s.inverse) is True
+
+
+def test_even_reference_form_builds_its_e8_block_once(monkeypatch):
+    """even_reference_form sums one E8 form s times: three blocks run
+    one Smith form, and the sum is the same as three E8 built apart."""
+    k = 3
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def snf(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", snf)
+    f = hermform.even_reference_form(k, hyperbolics=1, e8_blocks=3)
+    assert len(calls) == 1
+    g = hyperbolic(k, 1)
+    for _ in range(3):
+        g = hermform.orthogonal_sum(g, const_form(k, intlinalg.e8_matrix()))
+    assert (f.matrix, f.inverse, f.arf) == (g.matrix, g.inverse, g.arf)
+    assert hermform._is_inverse(f.matrix, f.inverse, k)
 
 
 def test_orthogonal_sum_refuses_a_summand_that_is_not_a_form():

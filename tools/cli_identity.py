@@ -31,7 +31,11 @@ The command set:
 - every operation of the certify benchmark workload for seeds 1 and
   2, which no command reaches: the SHA-256 digest of the transported
   form's to_json() with its certificate, the verify_inverse verdict,
-  the parity, the signature and each descriptor's w2 and ks;
+  the parity, the signature and each descriptor's w2 and ks.  The
+  workload's U is unit upper triangular, so the same source form is
+  also transported by U^T, unit lower triangular, and by U with its
+  rows reversed, which is not triangular; for each, the digest of
+  to_json() and the verify_inverse verdict of its certificate;
 - the integer layer, on a fixed set of matrices drawn with a seeded
   random.Random: square and non-square, singular, unimodular and
   symmetric ones, E8 and the Gram matrices of H^r.  For each,
@@ -145,15 +149,32 @@ def docs_commands(workloads, seed):
 
 
 def certify_outputs(workloads, seed):
-    """(name, digest) of the output of each certify operation of seed."""
+    """(name, digest) of the output of each certify operation of seed,
+    and of its source form transported by U^T and by U with its rows
+    reversed."""
+    from bsfour import hermform
+    from bsfour.groupring import GroupRingElt
+
+    def digest(doc):
+        return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
     out = []
     for op in workloads.setup_certify(seed, "."):
+        name = "seed %d, %s" % (seed, op.name)
         g, verified, par, sig, descriptors = op.run()
-        doc = {"form": g.to_json(), "verified": verified,
-               "parity": par.value, "signature": sig,
-               "descriptors": [[d.w2.value, d.ks] for d in descriptors]}
-        out.append(("seed %d, %s" % (seed, op.name), hashlib.sha256(
-            json.dumps(doc).encode()).hexdigest()))
+        out.append((name, digest({
+            "form": g.to_json(), "verified": verified, "parity": par.value,
+            "signature": sig,
+            "descriptors": [[d.w2.value, d.ks] for d in descriptors]})))
+        k, r, s, terms = op.inputs
+        U = [[GroupRingElt(k, dict(t)) for t in row] for row in terms]
+        f = hermform.even_reference_form(k, r, s)
+        for how, V in (("U^T", hermform.mat_transpose(U)),
+                       ("U reversed", U[::-1])):
+            g = hermform.congruence(f, V)
+            out.append(("%s by %s" % (name, how), digest({
+                "form": g.to_json(), "verified": None if g.inverse is None
+                else hermform.verify_inverse(g, g.inverse)})))
     return out
 
 
@@ -335,7 +356,8 @@ def compare(old_src, new_src, tmp):
             print("the runs gave different numbers of commands")
             return 1
         print("%d commands: exit code, stdout and stderr identical;"
-              " %d certify outputs identical" % (count, certified))
+              " %d certify outputs identical (each operation's, and its"
+              " transports by U^T and by U reversed)" % (count, certified))
         print("%d integer matrices: Smith form D, invariant factors,"
               " unimodular inverse and signature identical; U A V = D in"
               " both trees" % integers)
