@@ -10,18 +10,20 @@ that can grow without bound is a decimal string.  The JSON is written
 with two-space indentation, one scalar per line, keys in insertion
 order and non-ASCII characters escaped as \\uXXXX: byte for byte what
 the json module writes with indent=2, here written by _dumps in one
-pass.  The form documents of form and realize carry the ring elements
-themselves (HermitianForm.to_json with entry _itself), and _dumps
-writes each one from its sorted terms, through a %-template per
-indentation, as the text of its to_json(); --pretty flattens that
-to_json().  A number too long to write makes the command exit 2 with
-to_json's one-line error.
+pass, with one dispatch on each value's type.  The form documents of
+form and realize carry the ring elements themselves
+(HermitianForm.to_json with entry _itself), and _dumps writes each one
+from its sorted terms, through the %-templates of its indentation,
+made once per process, as the text of its to_json(); --pretty
+flattens that to_json().  A number too long to write makes the
+command exit 2 with to_json's one-line error.
 
 main(argv) may be called repeatedly in one process, as the benchmark
 and the tests do; every call shares the one parser built at import.
 """
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -108,10 +110,8 @@ def _cmd_group(args):
     k = _check_k(args.k, bsgroup.MAX_JSON_K, "group")
     _check_length(args.word, MAX_WORD_LENGTH, "--word", "group")
     _check_length(args.times, MAX_WORD_LENGTH, "--times", "group")
-    bsgroup.check_word(args.word)
     g = bsgroup.eval_word(args.word, k)
     if args.times is not None:
-        bsgroup.check_word(args.times)
         g = _kernel.bs_mul(g, bsgroup.eval_word(args.times, k), k)
     if args.invert:
         g = _kernel.bs_inv(g, k)
@@ -289,14 +289,12 @@ def _report_table(doc):
     return "\n".join(line.rstrip() for line in lines)
 
 
-# Per indentation of a ring element's own line, %-templates: the text
-# of the zero element, and of any other the text up to its first term,
-# the text of one term, the text between terms and the text after the
-# last; filled on first use.
-_RING_TEMPLATES = {}
-
-
+@functools.cache
 def _ring_templates(indent):
+    """Per indentation of a ring element's own line, %-templates: the
+    text of the zero element, and of any other the text up to its first
+    term, the text of one term, the text between terms and the text
+    after the last."""
     i1, i2 = indent + "  ", indent + "    "
     i3, i4 = i2 + "  ", i2 + "    "
     return ("{" + i1 + '"k": %d,' + i1 + '"terms": []' + indent + "}",
@@ -314,10 +312,7 @@ def _encode_ring(p, indent, append, memo):
     key = (id(p), indent)
     text = memo.get(key)
     if text is None:
-        templates = _RING_TEMPLATES.get(indent)
-        if templates is None:
-            templates = _RING_TEMPLATES[indent] = _ring_templates(indent)
-        zero, head, term, sep, tail = templates
+        zero, head, term, sep, tail = _ring_templates(indent)
         terms = p.terms
         if not terms:
             text = zero % p.k
@@ -337,51 +332,13 @@ def _encode_ring(p, indent, append, memo):
 def _encode(value, indent, append, memo):
     """Pass to append, piece by piece, the JSON text of value with
     two-space indentation; indent is the line break and indentation
-    that value's own line starts with.  Plain str and int items are
-    written in the loops, and ring elements by _encode_ring with memo;
-    every other item goes through a call."""
-    if isinstance(value, dict):
-        if not value:
-            append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            append(sep + _quote(key) + ": ")  # TypeError unless key is str
-            sep = "," + inner
-            cls = type(item)
-            if cls is str:
-                append(_quote(item))
-            elif cls is int:
-                append(int.__repr__(item))
-            elif cls is GroupRingElt:
-                _encode_ring(item, inner, append, memo)
-            else:
-                _encode(item, inner, append, memo)
-        append(indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            append("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for item in value:
-            append(sep)
-            sep = "," + inner
-            cls = type(item)
-            if cls is str:
-                append(_quote(item))
-            elif cls is int:
-                append(int.__repr__(item))
-            elif cls is GroupRingElt:
-                _encode_ring(item, inner, append, memo)
-            else:
-                _encode(item, inner, append, memo)
-        append(indent + "]")
+    that value's own line starts with.  One dispatch on the type, bool
+    before int; a ring element goes to _encode_ring with memo, and each
+    item of a container, after its separator and key, through a call."""
+    if isinstance(value, GroupRingElt):
+        _encode_ring(value, indent, append, memo)
     elif isinstance(value, str):
         append(_quote(value))
-    elif isinstance(value, GroupRingElt):
-        _encode_ring(value, indent, append, memo)
     elif value is None:
         append("null")
     elif value is True:
@@ -390,17 +347,33 @@ def _encode(value, indent, append, memo):
         append("false")
     elif isinstance(value, int):
         append(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        keyed = isinstance(value, dict)
+        if not value:
+            append("{}" if keyed else "[]")
+            return
+        inner = indent + "  "
+        sep = ("{" if keyed else "[") + inner
+        for item in value.items() if keyed else value:
+            if keyed:
+                key, item = item
+                append(sep + _quote(key) + ": ")  # TypeError unless str
+            else:
+                append(sep)
+            sep = "," + inner
+            _encode(item, inner, append, memo)
+        append(indent + ("}" if keyed else "]"))
     else:
         raise TypeError("cannot write %s as JSON" % type(value).__name__)
 
 
 def _dumps(doc):
     """The text the json module writes for doc with indent=2, byte for
-    byte, built in one pass and joined once.  dict, list and tuple are
-    the containers, str, int, bool and None the leaves, a GroupRingElt
-    is written as its to_json(), and keys are str; anything else raises
-    TypeError.  A ring element that doc holds more than once at one
-    indentation, as the descriptors of realize hold one form, is
+    byte, built in one pass by _encode and joined once.  dict, list and
+    tuple are the containers, str, int, bool and None the leaves, a
+    GroupRingElt is written as its to_json(), and keys are str; anything
+    else raises TypeError.  A ring element that doc holds more than once
+    at one indentation, as the descriptors of realize hold one form, is
     written once and its text repeated."""
     out = []
     # keyed by id: doc holds every element it reaches until the call

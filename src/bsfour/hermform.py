@@ -8,15 +8,14 @@ Invertibility over the group ring is never decided heuristically:
 either a certificate C with A C = 1 is produced and checked by exact
 multiplication, or the answer is unknown; C A = 1 follows (the proof
 is at _is_inverse).  Every inverse that is searched for comes from
-invert_matrix: the lifted integer inverse for a matrix of integer
-constants, otherwise Gauss-Jordan elimination with trivial-unit pivots
-+-g, then one check; sound, not complete, and never failing on a unit
-triangular matrix.  try_invert and isometry_inverse call it, congruence
-for a U that is not unit triangular, and a form that try_invert
-certifies is not checked again.
-The check of a lifted integer inverse is the integer product inside
-intlinalg.unimodular_inverse, which is the same check: the entrywise
-embedding of Z in Z[B(k)] is an injective ring map.
+invert_matrix: none unless the augmentation is unimodular over Z, as
+that of every invertible matrix is; then the lifted integer inverse
+for a matrix of integer constants, checked over Z (the entrywise
+embedding of Z in Z[B(k)] is an injective ring map), otherwise
+Gauss-Jordan elimination with trivial-unit pivots +-g and one check;
+sound, not complete, and never failing on a unit triangular matrix.
+try_invert, isometry_inverse and congruence for a U that is not unit
+triangular call it, each behind the same screen.
 from_integer_matrix takes its certificate from invert_matrix;
 hyperbolic attaches its known inverse, which its constructor checks.
 A product is compared with its target entry by entry, as it is summed.
@@ -403,26 +402,28 @@ def _is_constant(mat):
 
 
 def invert_matrix(mat, k):
-    """Invert a square matrix over the group ring: a matrix of integer
-    constants by lifting its integer inverse, any other by _eliminate.
-    Sound but not complete: returns an inverse checked once, by exact
-    multiplication, or None.  The check is M X = 1: over Z, inside
-    intlinalg.unimodular_inverse, for a constant matrix, which is the
-    same check (the proof is below), and by _is_inverse otherwise.  It
-    never fails on a unit triangular matrix, though congruence solves by
-    substitution there and does not call it."""
+    """Invert a square matrix over the group ring, sound but not
+    complete: an inverse checked once, by exact multiplication, or
+    None.  None unless the augmentation M is unimodular; then a matrix
+    of constants gets the lift of M's integer inverse, checked by
+    M X = 1 inside intlinalg.unimodular_inverse (the proof is below),
+    and any other _eliminate's, checked by _is_inverse."""
+    # The screen is sound for every caller: the augmentation is a ring
+    # map, so an invertible matrix augments to a unimodular one.
+    X = intlinalg.unimodular_inverse([[p.augment() for p in row]
+                                      for row in mat])
+    if X is None:
+        return None
     if _is_constant(mat):
         # The augmentation is the identity on constants, so mat is the
-        # entrywise lift of the integer matrix M.  The lift Z -> Z[B(k)]
+        # entrywise lift of its augmentation M.  The lift Z -> Z[B(k)]
         # is an injective ring map, so the product of two lifts is the
         # lift of the integer product, and it is 1 exactly when M X = 1,
         # which unimodular_inverse checks before it returns X: checking
         # over Z is checking over the group ring.  The lifted inverse
         # holds even where the +-g pivots of _eliminate get stuck, as on
         # E8.  A unit triangular matrix of constants has determinant 1.
-        M = [[p.augment() for p in row] for row in mat]
-        X = intlinalg.unimodular_inverse(M)
-        return None if X is None else _constants(k, X)
+        return _constants(k, X)
     X = _eliminate(mat, k)
     return X if X is not None and _is_inverse(mat, X, k) else None
 
@@ -477,14 +478,8 @@ def _eliminate(mat, k):
 
 def try_invert(f):
     """f with a verified inverse of its matrix attached, or None
-    (unknown).  The augmented matrix must be invertible over Z, which
-    rejects most non-invertible forms immediately; the inverse is
-    invert_matrix's, checked there and not again.  A constant matrix is
-    its own augmentation, and invert_matrix's lift is None exactly when
-    this screen is, so it is not screened twice."""
-    if (not _is_constant(f.matrix)
-            and intlinalg.unimodular_inverse(augment_form(f)) is None):
-        return None
+    (unknown): the inverse is invert_matrix's, screened by the
+    augmentation and checked there, and not checked again."""
     C = invert_matrix(f.matrix, f.k)
     return None if C is None else _DerivedForm(f.k, f.matrix, C, f.arf)
 

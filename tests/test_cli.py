@@ -59,6 +59,17 @@ def test_group_rejects_bad_word(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("word, times, bad", [("ax", "bz", "x"),
+                                              ("ab", "bz", "z")])
+def test_group_names_the_first_bad_word(capsys, word, times, bad):
+    """--word is checked before --times, each once, and the error line
+    names the letters of the first word that has any."""
+    code = cli.main(["group", "--k", "2", "--word", word, "--times", times])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: invalid letters %s; use a, A, b, B\n" % bad
+
+
 def test_ring_expression(capsys):
     doc = run_json(capsys, "ring", "--k", "2", "--expr", "1 + 2*ba - aB")
     assert doc["display"] == "1 - b^-2*a + 2*b*a"

@@ -720,14 +720,14 @@ def test_mat_mul_skips_empty_operands(monkeypatch):
 
 def test_try_invert_checks_its_certificate_once(monkeypatch):
     """try_invert attaches the inverse that invert_matrix checked, and
-    checks it no second time.  The lift of a constant form (E8) is
-    checked once, by the integer product E8 X inside
-    intlinalg.unimodular_inverse, with no kernel product and no
-    _is_inverse; a transported form is checked once by elimination's
-    _is_inverse, and its augmentation once over Z by try_invert's
-    screen.  try_invert takes the kernel products of invert_matrix and
-    no more, so no second product A C, and no involute, so no second
-    hermitian check."""
+    checks it no second time.  invert_matrix screens the augmentation
+    once over Z, by the integer product inside
+    intlinalg.unimodular_inverse; for a constant form (E8) that product
+    is the check of its lift, with no kernel product and no _is_inverse,
+    and a transported form is checked once more, by elimination's
+    _is_inverse.  try_invert takes the kernel products and the integer
+    products of invert_matrix and no more, so no second product A C,
+    and no involute, so no second hermitian check."""
     k = 3
     e8 = intlinalg.e8_matrix()
     forms = (HermitianForm(k, const_form(k, e8).matrix),
@@ -753,24 +753,21 @@ def test_try_invert_checks_its_certificate_once(monkeypatch):
     monkeypatch.setattr(intlinalg, "_mat_mul", mat_mul_over_z)
     monkeypatch.setattr(GroupRingElt, "involute", involute)
     calls = _KernelCalls(monkeypatch)
-    aug = hermform.augment_form(forms[1])
-    # per form, the matrices checked over the ring, and the left factors
-    # equal to the augmentation of integer products in invert_matrix
-    # and in try_invert
-    for f, ring, integer, screen in ((forms[0], [], [e8], [e8]),
-                                     (forms[1], [forms[1].matrix], [],
-                                      [aug])):
+    # per form, the matrices checked over the ring; the left factors
+    # equal to the augmentation of integer products are that one
+    # augmentation, in invert_matrix and in try_invert alike
+    for f, ring in ((forms[0], []), (forms[1], [forms[1].matrix])):
         M = hermform.augment_form(f)
         C, want = calls.products(lambda: hermform.invert_matrix(f.matrix, k))
         assert C is not None and checked == ring
-        assert [A for A in over_z if A == M] == integer
+        assert [A for A in over_z if A == M] == [M]
         assert (want > 0) == bool(ring)
         checked.clear()
         over_z.clear()
         involuted.clear()
         g, spent = calls.products(lambda: try_invert(f))
         assert spent == want and checked == ring
-        assert [A for A in over_z if A == M] == screen
+        assert [A for A in over_z if A == M] == [M]
         assert not involuted
         assert g.matrix == f.matrix and g.inverse == C
         assert verify_inverse(f, g.inverse)
@@ -848,6 +845,29 @@ def test_congruence_by_a_constant_unimodular_matrix_keeps_the_certificate():
         assert mat_product(g.matrix, g.inverse, k) == identity(k, 2)
         assert mat_product(g.inverse, g.matrix, k) == identity(k, 2)
         assert hermform._eliminate(hermform.mat_involute(U), k) is None
+
+
+def test_a_singular_augmentation_is_refused_before_elimination(monkeypatch):
+    """U = [[1 + a, 0], [0, 1]] is not unit triangular, and its
+    augmentation diag(2, 1) is singular, so U has no inverse: the
+    transport of H by U gets no certificate and isometry_inverse raises,
+    both without an elimination."""
+    k = 2
+    U = ((GroupRingElt.from_word(k, "a") + one(k), zero(k)),
+         (zero(k), one(k)))
+    eliminated = []
+    real = hermform._eliminate
+
+    def eliminate(mat, k):
+        eliminated.append(mat)
+        return real(mat, k)
+
+    monkeypatch.setattr(hermform, "_eliminate", eliminate)
+    g = congruence(hyperbolic(k, 1), U)
+    assert g.inverse is None
+    with pytest.raises(CertificateError):
+        isometry_inverse(U, k)
+    assert not eliminated
 
 
 def test_wrong_certificate_fails_at_its_first_entry(monkeypatch):
